@@ -8,8 +8,16 @@
 package smfl_bench
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
+	"io"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
+	"sort"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -18,6 +26,7 @@ import (
 	"github.com/spatialmf/smfl/internal/experiments"
 	"github.com/spatialmf/smfl/internal/linalg"
 	"github.com/spatialmf/smfl/internal/mat"
+	"github.com/spatialmf/smfl/internal/serve"
 	"github.com/spatialmf/smfl/internal/spatial"
 )
 
@@ -268,6 +277,88 @@ func BenchmarkFoldIn(b *testing.B) {
 				}
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rows), "ns/row")
+		})
+	}
+}
+
+// BenchmarkServeClosedLoop saturates an in-process smfld server (defaults,
+// loopback HTTP) with closed-loop clients: each sends its next one-row
+// impute request as soon as the previous answer arrives. It reports
+// throughput, the median request latency and the mean coalesced batch size
+// at 1, 16 and 64 clients, the saturation curve the coalescer shapes. Run
+//
+//	go test -run '^$' -bench ServeClosedLoop -benchtime 3s .
+func BenchmarkServeClosedLoop(b *testing.B) {
+	res, err := dataset.Vehicle(0.05, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	x := res.Data.X
+	if _, err := res.Data.Normalize(); err != nil {
+		b.Fatal(err)
+	}
+	model, err := core.Fit(x, nil, res.Data.L, core.SMFL, core.Config{Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	n, m := x.Dims()
+	bodies := make([][]byte, 256)
+	for i := range bodies {
+		row := make([]*float64, m)
+		for j := range row {
+			if j != res.Data.L+i%(m-res.Data.L) { // hide one non-SI cell
+				v := x.At(i*n/len(bodies), j)
+				row[j] = &v
+			}
+		}
+		if bodies[i], err = json.Marshal(map[string]any{"rows": [][]*float64{row}}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for _, clients := range []int{1, 16, 64} {
+		b.Run(fmt.Sprintf("clients=%d", clients), func(b *testing.B) {
+			metrics := serve.NewMetrics()
+			registry := serve.NewRegistry(serve.Config{}, metrics)
+			defer registry.Close()
+			if _, err := registry.Register("bench", model, ""); err != nil {
+				b.Fatal(err)
+			}
+			ts := httptest.NewServer(serve.NewServer(registry, metrics).Handler())
+			defer ts.Close()
+			client := &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: clients}}
+			defer client.CloseIdleConnections()
+			url := ts.URL + "/v1/models/bench/impute"
+			lat := make([]time.Duration, b.N)
+			var next atomic.Int64
+			var wg sync.WaitGroup
+			b.ResetTimer()
+			for c := 0; c < clients; c++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for i := int(next.Add(1)) - 1; i < b.N; i = int(next.Add(1)) - 1 {
+						start := time.Now()
+						resp, err := client.Post(url, "application/json", bytes.NewReader(bodies[i%len(bodies)]))
+						if err != nil {
+							b.Error(err)
+							return
+						}
+						_, _ = io.Copy(io.Discard, resp.Body) // drain so the connection is reused
+						resp.Body.Close()
+						if resp.StatusCode != http.StatusOK {
+							b.Errorf("status %d", resp.StatusCode)
+							return
+						}
+						lat[i] = time.Since(start)
+					}
+				}()
+			}
+			wg.Wait()
+			b.StopTimer()
+			sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
+			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "req/s")
+			b.ReportMetric(float64(lat[len(lat)/2].Microseconds())/1000, "p50_ms")
+			b.ReportMetric(metrics.Snapshot().MeanBatchSize, "rows/batch")
 		})
 	}
 }

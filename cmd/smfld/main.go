@@ -6,7 +6,7 @@
 // Usage:
 //
 //	smfld -addr :8080 -model air=air.smfl -model fuel=fuel.smfl \
-//	      [-window 2ms] [-maxbatch 256] [-queue 1024] [-iters 100] \
+//	      [-maxbatch 256] [-queue 1024] [-iters 100] \
 //	      [-keep-versions 3] [-admit-max-cost 65536] [-admit-min-cost 0] \
 //	      [-target-p95 250ms] [-timeout 10s] [-max-timeout 60s] \
 //	      [-degraded-fallback auto]
@@ -27,6 +27,11 @@
 //	curl -X POST localhost:8080/admin/models/air -d '{"path": "air-v2.smfl"}'
 //	curl -X POST localhost:8080/admin/models/air/rollback
 //
+// Fold-in requests against one model are coalesced batch-while-busy: an
+// idle model computes a request at once, and requests that arrive while a
+// batch computes are solved together as the next batch (up to -maxbatch
+// rows). There is no coalescing timer to tune.
+//
 // Under overload the daemon sheds with 429 + Retry-After instead of queuing
 // without bound: requests are admitted by projected row-cost (observed
 // cells) against an adaptive window that shrinks when the p95 batch latency
@@ -36,7 +41,7 @@
 //
 // Every impute request runs under a deadline: -timeout by default, or a
 // per-request ?timeout_ms= override clamped to -max-timeout. Expiry anywhere
-// in the lifecycle (parked in the coalescer, mid fold-in) is an honest 504.
+// in the lifecycle (queued in the coalescer, mid fold-in) is an honest 504.
 // When the fold-in circuit breaker trips on failures or latency, the daemon
 // degrades instead of falling over: requests are answered from a cheap
 // fallback (-degraded-fallback: the landmark placer's O(L) warm start when
@@ -102,8 +107,7 @@ func run(ctx context.Context, args []string, stderr io.Writer, ready func(addr s
 	fs := flag.NewFlagSet("smfld", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	addr := fs.String("addr", ":8080", "listen address")
-	window := fs.Duration("window", 2*time.Millisecond, "micro-batch coalescing window")
-	maxBatch := fs.Int("maxbatch", 256, "flush a batch once this many rows are pending")
+	maxBatch := fs.Int("maxbatch", 256, "a fold-in batch stops taking queued requests at this many rows")
 	queue := fs.Int("queue", 1024, "per-model pending request cap")
 	iters := fs.Int("iters", 100, "fold-in iteration cap per batch")
 	grace := fs.Duration("grace", 10*time.Second, "graceful shutdown deadline")
@@ -131,7 +135,7 @@ func run(ctx context.Context, args []string, stderr io.Writer, ready func(addr s
 	}
 	metrics := serve.NewMetrics()
 	registry := serve.NewRegistry(serve.Config{
-		Window: *window, MaxBatchRows: *maxBatch, QueueDepth: *queue, FoldInIters: *iters,
+		MaxBatchRows: *maxBatch, QueueDepth: *queue, FoldInIters: *iters,
 		KeepVersions: *keep,
 		Admission: serve.AdmissionConfig{
 			MaxCost: *admitMax, MinCost: *admitMin, TargetP95: *targetP95,

@@ -56,13 +56,21 @@ func (m *Model) FoldIn(rows *mat.Dense, omega *mat.Mask, iters int) (*mat.Dense,
 		iters = 100
 	}
 	k := m.Config.K
+	// Every row starts from the same K uniform draws, so a row's start (and
+	// hence its whole trajectory) does not depend on its position in the
+	// batch: a coalesced fold-in answers each row exactly as a stand-alone
+	// call would.
 	rng := rand.New(rand.NewSource(m.Config.Seed + 1))
-	u := mat.RandomUniform(rng, r, k, 1e-3, 1)
+	start := mat.RandomUniform(rng, 1, k, 1e-3, 1).Row(0)
+	u := mat.NewDense(r, k)
+	for i := 0; i < r; i++ {
+		copy(u.Row(i), start)
+	}
 	// Landmark warm start: rows whose SI cells are all observed are placed
 	// against the O(L) landmark model and start from a Shepard blend of their
-	// nearest landmarks' trained coefficients instead of noise. The blend is
-	// deterministic and per-row, so single-row and batched fold-ins still
-	// agree; rows with hidden SI cells keep the random initialization.
+	// nearest landmarks' trained coefficients instead of the shared random
+	// start. The blend is deterministic and per-row, so single-row and
+	// batched fold-ins still agree.
 	if m.Placer != nil && m.L > 0 && m.L <= cols && m.Placer.Dim() == m.L && m.Placer.Coeff().Cols() == k {
 		si := make([]float64, m.L)
 		for i := 0; i < r; i++ {
@@ -89,11 +97,12 @@ func (m *Model) FoldIn(rows *mat.Dense, omega *mat.Mask, iters int) (*mat.Dense,
 	}
 
 	// Each row's trajectory is independent of the rest of the batch: the
-	// update touches only u_i and the convergence test is per-row, so a row
-	// that has converged freezes while the stragglers keep iterating (and a
-	// single-row FoldIn reproduces row 0 of a batched call exactly). The
-	// masked update and objective are fused — only observed dot products
-	// against Vᵀ are evaluated, never the dense u·V product.
+	// start is shared, the update touches only u_i and the convergence test
+	// is per-row, so a row that has converged freezes while the stragglers
+	// keep iterating (and a single-row FoldIn reproduces any row of a batched
+	// call exactly). The masked update and objective are fused — only
+	// observed dot products against Vᵀ are evaluated, never the dense u·V
+	// product.
 	vt := m.V.T() // cols×k: contiguous rows for the per-entry dot products
 	vtd := vt.Data()
 	active := make([]bool, r)
@@ -102,8 +111,79 @@ func (m *Model) FoldIn(rows *mat.Dense, omega *mat.Mask, iters int) (*mat.Dense,
 		active[i] = true
 		prev[i] = math.Inf(1)
 	}
-	remaining := r
-	for it := 0; it < iters && remaining > 0; it++ {
+	// The sweep closure and its per-chunk num/den scratch are built once per
+	// call, sized for the widest split any iteration can take (the chunk
+	// count only falls as rows converge), so the iteration loop allocates
+	// nothing.
+	scratch := make([]float64, 2*k*mat.ChunksFor(r, 3*r*cols*k))
+	sweep := func(ci, lo, hi int) {
+		num := scratch[2*k*ci : 2*k*ci+k]
+		den := scratch[2*k*ci+k : 2*k*(ci+1)]
+		for i := lo; i < hi; i++ {
+			if !active[i] {
+				continue
+			}
+			ui := u.Row(i)
+			xi := rx.Row(i)
+			for t := 0; t < k; t++ {
+				num[t], den[t] = 0, 0
+			}
+			for j := 0; j < cols; j++ {
+				if !omega.Observed(i, j) {
+					continue
+				}
+				vtj := vtd[j*k : (j+1)*k]
+				// Open-coded dot (same accumulation order as mat.DotVec,
+				// which the compiler does not inline): p = (uV)_ij.
+				var p0, p1, p2, p3 float64
+				t := 0
+				for ; t+4 <= k; t += 4 {
+					p0 += ui[t] * vtj[t]
+					p1 += ui[t+1] * vtj[t+1]
+					p2 += ui[t+2] * vtj[t+2]
+					p3 += ui[t+3] * vtj[t+3]
+				}
+				p := (p0 + p2) + (p1 + p3)
+				for ; t < k; t++ {
+					p += ui[t] * vtj[t]
+				}
+				xv := xi[j]
+				for t, vv := range vtj {
+					num[t] += xv * vv
+					den[t] += p * vv
+				}
+			}
+			for t, uval := range ui {
+				ui[t] = uval * num[t] / (den[t] + eps)
+			}
+			var obj float64
+			for j := 0; j < cols; j++ {
+				if !omega.Observed(i, j) {
+					continue
+				}
+				vtj := vtd[j*k : (j+1)*k]
+				var p0, p1, p2, p3 float64
+				t := 0
+				for ; t+4 <= k; t += 4 {
+					p0 += ui[t] * vtj[t]
+					p1 += ui[t+1] * vtj[t+1]
+					p2 += ui[t+2] * vtj[t+2]
+					p3 += ui[t+3] * vtj[t+3]
+				}
+				p := (p0 + p2) + (p1 + p3)
+				for ; t < k; t++ {
+					p += ui[t] * vtj[t]
+				}
+				d := xi[j] - p
+				obj += d * d
+			}
+			if !math.IsInf(prev[i], 1) && math.Abs(prev[i]-obj) <= tol*math.Max(prev[i], 1e-12) {
+				active[i] = false
+			}
+			prev[i] = obj
+		}
+	}
+	for it, remaining := 0, r; it < iters && remaining > 0; it++ {
 		if ctx := m.Config.Ctx; ctx != nil {
 			if err := ctx.Err(); err != nil {
 				return u, fmt.Errorf("%w after %d fold-in iterations: %w", ErrInterrupted, it, err)
@@ -114,73 +194,7 @@ func (m *Model) FoldIn(rows *mat.Dense, omega *mat.Mask, iters int) (*mat.Dense,
 				return u, fmt.Errorf("core: fold-in iteration %d: %w", it, err)
 			}
 		}
-		mat.ParallelRange(r, 3*remaining*cols*k, func(lo, hi int) {
-			num := make([]float64, k)
-			den := make([]float64, k)
-			for i := lo; i < hi; i++ {
-				if !active[i] {
-					continue
-				}
-				ui := u.Row(i)
-				xi := rx.Row(i)
-				for t := 0; t < k; t++ {
-					num[t], den[t] = 0, 0
-				}
-				for j := 0; j < cols; j++ {
-					if !omega.Observed(i, j) {
-						continue
-					}
-					vtj := vtd[j*k : (j+1)*k]
-					// Open-coded dot (same accumulation order as mat.DotVec,
-					// which the compiler does not inline): p = (uV)_ij.
-					var p0, p1, p2, p3 float64
-					t := 0
-					for ; t+4 <= k; t += 4 {
-						p0 += ui[t] * vtj[t]
-						p1 += ui[t+1] * vtj[t+1]
-						p2 += ui[t+2] * vtj[t+2]
-						p3 += ui[t+3] * vtj[t+3]
-					}
-					p := (p0 + p2) + (p1 + p3)
-					for ; t < k; t++ {
-						p += ui[t] * vtj[t]
-					}
-					xv := xi[j]
-					for t, vv := range vtj {
-						num[t] += xv * vv
-						den[t] += p * vv
-					}
-				}
-				for t, uval := range ui {
-					ui[t] = uval * num[t] / (den[t] + eps)
-				}
-				var obj float64
-				for j := 0; j < cols; j++ {
-					if !omega.Observed(i, j) {
-						continue
-					}
-					vtj := vtd[j*k : (j+1)*k]
-					var p0, p1, p2, p3 float64
-					t := 0
-					for ; t+4 <= k; t += 4 {
-						p0 += ui[t] * vtj[t]
-						p1 += ui[t+1] * vtj[t+1]
-						p2 += ui[t+2] * vtj[t+2]
-						p3 += ui[t+3] * vtj[t+3]
-					}
-					p := (p0 + p2) + (p1 + p3)
-					for ; t < k; t++ {
-						p += ui[t] * vtj[t]
-					}
-					d := xi[j] - p
-					obj += d * d
-				}
-				if !math.IsInf(prev[i], 1) && math.Abs(prev[i]-obj) <= tol*math.Max(prev[i], 1e-12) {
-					active[i] = false
-				}
-				prev[i] = obj
-			}
-		})
+		mat.ParallelChunks(r, mat.ChunksFor(r, 3*remaining*cols*k), sweep)
 		remaining = 0
 		for _, a := range active {
 			if a {

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"math"
 	"sync"
 	"testing"
 
@@ -183,12 +184,14 @@ func TestFoldInReconstructsTrainingRows(t *testing.T) {
 	}
 }
 
-// TestFoldInSingleRowMatchesBatchRow pins down the per-row early stop: row 0
-// of a batched fold-in follows exactly the same trajectory as a single-row
-// fold-in (identical init draws, per-row convergence test, updates that only
-// touch u_i), so the two must agree bit-for-bit. Under a batch-global
-// convergence test a fast row would keep iterating alongside the slowest row
-// in the batch and drift away from its single-row result.
+// TestFoldInSingleRowMatchesBatchRow pins down batch-position independence:
+// every row of a batched fold-in follows exactly the same trajectory as a
+// single-row fold-in of that row (one shared start, per-row convergence
+// test, updates that only touch u_i), so the two must agree bit-for-bit.
+// Under per-row random starts a row's result would depend on where it sits
+// in the batch, and under a batch-global convergence test a fast row would
+// keep iterating alongside the slowest row and drift away from its
+// single-row result.
 func TestFoldInSingleRowMatchesBatchRow(t *testing.T) {
 	model, test := foldInFixture(t)
 	n, m := test.Dims()
@@ -200,22 +203,42 @@ func TestFoldInSingleRowMatchesBatchRow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	row0 := test.Slice(0, 1, 0, m)
-	omega0 := mat.NewMask(1, m)
-	for j := 0; j < m; j++ {
-		if omega.Observed(0, j) {
-			omega0.Observe(0, j)
+	for i := 0; i < n; i++ {
+		row := test.Slice(i, i+1, 0, m)
+		rowOmega := mat.NewMask(1, m)
+		for j := 0; j < m; j++ {
+			if omega.Observed(i, j) {
+				rowOmega.Observe(0, j)
+			}
+		}
+		single, err := model.FoldIn(row, rowOmega, 200)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k := 0; k < model.Config.K; k++ {
+			if math.Float64bits(single.At(0, k)) != math.Float64bits(batch.At(i, k)) {
+				t.Fatalf("row %d coefficient %d: single-row %v vs batch %v",
+					i, k, single.At(0, k), batch.At(i, k))
+			}
 		}
 	}
-	single, err := model.FoldIn(row0, omega0, 200)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for k := 0; k < model.Config.K; k++ {
-		if single.At(0, k) != batch.At(0, k) {
-			t.Fatalf("coefficient %d: single-row %v vs batch row 0 %v",
-				k, single.At(0, k), batch.At(0, k))
+}
+
+// TestFoldInAllocsPerRowConstant bounds a single-row fold-in's allocations
+// well below one per iteration, so per-iteration scratch cannot creep back
+// into the sweep loop. The fixture's rows run dozens of iterations before
+// freezing.
+func TestFoldInAllocsPerRowConstant(t *testing.T) {
+	model, test := foldInFixture(t)
+	_, m := test.Dims()
+	row := test.Slice(0, 1, 0, m)
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := model.FoldIn(row, nil, 100); err != nil {
+			t.Fatal(err)
 		}
+	})
+	if allocs > 32 {
+		t.Fatalf("single-row FoldIn made %.0f allocations, want at most 32 (none per iteration)", allocs)
 	}
 }
 

@@ -59,7 +59,7 @@ const (
 	ManifestWrite Point = "manifest.write"
 	// ServeBatch fires in the serving tier (internal/serve) before a
 	// coalesced fold-in batch computes, with a *serve.BatchFault payload.
-	// Hooks may return an error (the batch fails, its parked requests get
+	// Hooks may return an error (the batch fails, its queued requests get
 	// 500s), panic (the panic-isolation path must contain it to the batch),
 	// or sleep (a slow compute the per-request deadlines must bound).
 	ServeBatch Point = "serve.batch"

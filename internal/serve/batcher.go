@@ -21,7 +21,7 @@ var (
 	// bounded backpressure instead of unbounded memory growth (429).
 	ErrOverloaded = errors.New("serve: model queue full")
 	// ErrComputePanic tags a batch whose fold-in compute panicked: the panic
-	// was contained to the batch (500s for its parked requests) and the
+	// was contained to the batch (500s for its queued requests) and the
 	// flush goroutine keeps serving.
 	ErrComputePanic = errors.New("serve: fold-in compute panicked")
 )
@@ -30,7 +30,7 @@ var (
 // coalesced batch about to compute. Hooks may return an error, panic, or
 // delay to exercise the failure paths chaos tests assert on.
 type BatchFault struct {
-	Requests int // parked requests in the batch
+	Requests int // queued requests in the batch
 	Rows     int // stacked row count
 }
 
@@ -40,7 +40,7 @@ type BatchFault struct {
 // the admission window. release, when non-nil, is called exactly once by the
 // batcher after the request was enqueued — computed=true with the batch
 // latency when the request went through a fold-in, computed=false when it
-// was dropped while parked.
+// was dropped while queued.
 type foldRequest struct {
 	ctx     context.Context
 	rows    *mat.Dense // normalized units, validated by the handler
@@ -73,17 +73,19 @@ type foldResult struct {
 }
 
 // batcher coalesces concurrent fold-in requests against one model into
-// batched FoldIn calls: requests are collected for up to a window (or until
-// maxRows accumulate) and solved as a single stacked matrix, amortizing the
-// masked-matmul cost across callers. The model is immutable (see core.Model),
+// batched FoldIn calls, batch-while-busy: the flush goroutine takes the first
+// queued request, drains without blocking whatever else is already queued (up
+// to maxRows), and solves the lot as one stacked matrix. Requests arriving
+// during that compute queue up and become the next batch, so an idle batcher
+// answers at once and a busy one amortizes the masked-matmul cost across
+// callers, with no timer to tune. The model is immutable (see core.Model),
 // so the single flush goroutine is the only coordination needed.
 //
 // The flush goroutine is panic-isolated: a panic inside one batch's compute
-// (a real bug or an injected chaos fault) fails only that batch's parked
+// (a real bug or an injected chaos fault) fails only that batch's queued
 // requests with ErrComputePanic and the goroutine keeps serving.
 type batcher struct {
 	model   *core.Model
-	window  time.Duration
 	maxRows int
 	iters   int
 	metrics *Metrics
@@ -97,7 +99,6 @@ type batcher struct {
 func newBatcher(model *core.Model, cfg Config, metrics *Metrics) *batcher {
 	b := &batcher{
 		model:   model,
-		window:  cfg.Window,
 		maxRows: cfg.MaxBatchRows,
 		iters:   cfg.FoldInIters,
 		metrics: metrics,
@@ -169,13 +170,12 @@ func (b *batcher) run() {
 	}
 }
 
-// collect gathers requests behind first until the window elapses, maxRows
-// accumulate, or the input channel closes (drain).
+// collect gathers first plus every request already queued behind it, up to
+// maxRows, without waiting for more: requests that arrive while the batch
+// computes form the next one. A closed input (drain) ends the batch early.
 func (b *batcher) collect(first *foldRequest) []*foldRequest {
 	batch := []*foldRequest{first}
 	nrows := first.rows.Rows()
-	timer := time.NewTimer(b.window)
-	defer timer.Stop()
 	for nrows < b.maxRows {
 		select {
 		case req, ok := <-b.in:
@@ -184,7 +184,7 @@ func (b *batcher) collect(first *foldRequest) []*foldRequest {
 			}
 			batch = append(batch, req)
 			nrows += req.rows.Rows()
-		case <-timer.C:
+		default:
 			return batch
 		}
 	}
@@ -201,7 +201,7 @@ func (b *batcher) flush(batch []*foldRequest) {
 	live := batch[:0]
 	for _, req := range batch {
 		if req.expired() {
-			// Parked past its deadline (or the client disconnected): release
+			// Queued past its deadline (or the client disconnected): release
 			// its admission cost without computing it.
 			req.settle(foldResult{err: req.ctx.Err()}, false)
 			continue

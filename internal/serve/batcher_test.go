@@ -3,12 +3,14 @@ package serve
 import (
 	"context"
 	"errors"
+	"math"
 	"sync"
 	"testing"
 	"time"
 
 	"github.com/spatialmf/smfl/internal/core"
 	"github.com/spatialmf/smfl/internal/dataset"
+	"github.com/spatialmf/smfl/internal/faultinject"
 	"github.com/spatialmf/smfl/internal/mat"
 )
 
@@ -33,17 +35,89 @@ func smallModel(t testing.TB) (*core.Model, *mat.Dense) {
 	return model, res.Data.X
 }
 
+// batchGate holds the flush goroutine busy: an armed faultinject.ServeBatch
+// hook reports each batch entering compute on started, then blocks it until
+// open is called. Requests submitted meanwhile queue up behind the held batch,
+// which is how tests build a backlog without racing the flush goroutine.
+type batchGate struct {
+	started chan BatchFault // buffered so the hook never waits on a reader
+	release chan struct{}
+	once    sync.Once
+}
+
+// holdBatches arms a batchGate. Cleanup opens the gate and disarms the hook;
+// a test that closes a batcher, registry or server in a defer must also defer
+// open after that, because defers run before cleanup and the close waits for
+// the held batch.
+func holdBatches(t *testing.T) *batchGate {
+	t.Helper()
+	g := &batchGate{started: make(chan BatchFault, 64), release: make(chan struct{})}
+	faultinject.Enable(faultinject.ServeBatch, func(p any) error {
+		select {
+		case g.started <- *p.(*BatchFault):
+		default: // more batches than the buffer holds: nobody is waiting on them
+		}
+		<-g.release
+		return nil
+	})
+	t.Cleanup(func() {
+		g.open()
+		faultinject.Disable(faultinject.ServeBatch)
+	})
+	return g
+}
+
+// open lets every held and future batch compute.
+func (g *batchGate) open() { g.once.Do(func() { close(g.release) }) }
+
+// wait blocks until a batch enters compute and returns its shape.
+func (g *batchGate) wait(t *testing.T) BatchFault {
+	t.Helper()
+	select {
+	case f := <-g.started:
+		return f
+	case <-time.After(10 * time.Second):
+		t.Fatal("no batch entered compute")
+		return BatchFault{}
+	}
+}
+
+// hold submits one single-row request and waits until the flush goroutine
+// is computing it, returning the request's result channel.
+func (g *batchGate) hold(t *testing.T, b *batcher, x *mat.Dense) <-chan error {
+	t.Helper()
+	errc := make(chan error, 1)
+	go func() {
+		_, err := b.Submit(context.Background(), x.Slice(0, 1, 0, 6), mat.FullMask(1, 6), nil)
+		errc <- err
+	}()
+	if f := g.wait(t); f.Rows != 1 {
+		t.Fatalf("held batch has %d rows, want 1", f.Rows)
+	}
+	return errc
+}
+
 func TestBatcherCoalesces(t *testing.T) {
 	model, x := smallModel(t)
-	b := newBatcher(model, Config{Window: 50 * time.Millisecond}.withDefaults(), NewMetrics())
+	b := newBatcher(model, Config{}.withDefaults(), NewMetrics())
 	defer b.Close()
-	// Enqueue on the buffered channel directly so every request is pending
-	// before the window can close — deterministic, unlike goroutine timing.
+	gate := holdBatches(t)
+	defer gate.open() // before b.Close, which waits for the held batch
+	held := gate.hold(t, b, x)
+	// Enqueue on the buffered channel directly while the flush goroutine is
+	// held in compute, so every request is pending before it can look at the
+	// queue again — deterministic, unlike goroutine timing.
 	const n = 16
 	reqs := make([]*foldRequest, n)
 	for i := range reqs {
-		reqs[i] = &foldRequest{rows: x.Slice(i, i+1, 0, 6), mask: mat.FullMask(1, 6), done: make(chan foldResult, 1)}
+		mask := mat.FullMask(1, 6)
+		mask.Hide(0, 2+i%4) // one non-SI cell to reconstruct
+		reqs[i] = &foldRequest{rows: x.Slice(i, i+1, 0, 6), mask: mask, done: make(chan foldResult, 1)}
 		b.in <- reqs[i]
+	}
+	gate.open()
+	if err := <-held; err != nil {
+		t.Fatalf("held request: %v", err)
 	}
 	for i, req := range reqs {
 		res := <-req.done
@@ -59,53 +133,96 @@ func TestBatcherCoalesces(t *testing.T) {
 		if r, c := res.coeff.Dims(); r != 1 || c != 4 {
 			t.Fatalf("request %d coeff shape %dx%d", i, r, c)
 		}
-		// Each caller's slice must match its own row's reconstruction:
-		// observed cells are recovered verbatim.
+		// Each caller's slice must be its own row's reconstruction, bit for
+		// bit what the request gets when solved alone: observed cells are
+		// recovered verbatim and the hidden cell does not depend on the
+		// row's position in the batch.
+		alone, err := model.CompleteRows(req.rows, req.mask, Config{}.withDefaults().FoldInIters)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for j := 0; j < 6; j++ {
-			if res.completed.At(0, j) != x.At(i, j) {
+			if req.mask.Observed(0, j) && res.completed.At(0, j) != x.At(i, j) {
 				t.Fatalf("request %d cell %d = %v, want %v", i, j, res.completed.At(0, j), x.At(i, j))
+			}
+			if math.Float64bits(res.completed.At(0, j)) != math.Float64bits(alone.At(0, j)) {
+				t.Fatalf("request %d cell %d = %v coalesced, %v alone", i, j, res.completed.At(0, j), alone.At(0, j))
 			}
 		}
 	}
 }
 
+// TestBatcherFlushesAtMaxRows: requests submitted while a batch is held in
+// compute come back as the following batches, split at MaxBatchRows in
+// arrival order.
 func TestBatcherFlushesAtMaxRows(t *testing.T) {
 	model, x := smallModel(t)
-	// A very long window: only the maxRows threshold can flush in time.
-	b := newBatcher(model, Config{Window: time.Hour, MaxBatchRows: 4}.withDefaults(), nil)
+	b := newBatcher(model, Config{MaxBatchRows: 4}.withDefaults(), nil)
 	defer b.Close()
-	var wg sync.WaitGroup
-	done := make(chan foldResult, 4)
-	for i := 0; i < 4; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			res, err := b.Submit(context.Background(), x.Slice(i, i+1, 0, 6), mat.FullMask(1, 6), nil)
-			if err != nil {
-				t.Errorf("submit: %v", err)
-				return
-			}
-			done <- res
-		}(i)
+	gate := holdBatches(t)
+	defer gate.open() // before b.Close, which waits for the held batch
+	held := gate.hold(t, b, x)
+	const n = 10
+	reqs := make([]*foldRequest, n)
+	for i := range reqs {
+		reqs[i] = &foldRequest{rows: x.Slice(i, i+1, 0, 6), mask: mat.FullMask(1, 6), done: make(chan foldResult, 1)}
+		b.in <- reqs[i]
 	}
-	waited := make(chan struct{})
-	go func() { wg.Wait(); close(waited) }()
-	select {
-	case <-waited:
-	case <-time.After(10 * time.Second):
-		t.Fatal("maxRows flush never fired")
+	gate.open()
+	if err := <-held; err != nil {
+		t.Fatalf("held request: %v", err)
 	}
-	close(done)
-	for res := range done {
-		if res.batchRows != 4 {
-			t.Fatalf("batch of %d rows, want 4", res.batchRows)
+	for i, req := range reqs {
+		var res foldResult
+		select {
+		case res = <-req.done:
+		case <-time.After(10 * time.Second):
+			t.Fatal("maxRows flush never fired")
 		}
+		if res.err != nil {
+			t.Fatalf("request %d: %v", i, res.err)
+		}
+		want := 4 // 10 rows split as 4, 4, 2
+		if i >= 8 {
+			want = 2
+		}
+		if res.batchRows != want {
+			t.Fatalf("request %d served in a batch of %d rows, want %d", i, res.batchRows, want)
+		}
+	}
+}
+
+// TestBatcherIdleRequestComputedAlone: with nothing queued behind it, a
+// request is batched alone at once — collect never waits for company.
+func TestBatcherIdleRequestComputedAlone(t *testing.T) {
+	model, x := smallModel(t)
+	idle := &batcher{maxRows: 256, in: make(chan *foldRequest, 4)}
+	first := &foldRequest{rows: x.Slice(0, 1, 0, 6), mask: mat.FullMask(1, 6)}
+	collected := make(chan []*foldRequest, 1)
+	go func() { collected <- idle.collect(first) }()
+	select {
+	case batch := <-collected:
+		if len(batch) != 1 || batch[0] != first {
+			t.Fatalf("collect on an empty queue returned %d requests, want just the first", len(batch))
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("collect blocked on an empty queue")
+	}
+
+	b := newBatcher(model, Config{}.withDefaults(), nil)
+	defer b.Close()
+	res, err := b.Submit(context.Background(), x.Slice(0, 1, 0, 6), mat.FullMask(1, 6), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.batchRows != 1 {
+		t.Fatalf("lone request served in a batch of %d rows, want 1", res.batchRows)
 	}
 }
 
 func TestBatcherPropagatesFoldInError(t *testing.T) {
 	model, _ := smallModel(t)
-	b := newBatcher(model, Config{Window: time.Millisecond}.withDefaults(), nil)
+	b := newBatcher(model, Config{}.withDefaults(), nil)
 	defer b.Close()
 	// Wrong column count reaches FoldIn (handlers validate, the batcher
 	// itself must still fail cleanly) and the error fans back out.
@@ -117,7 +234,7 @@ func TestBatcherPropagatesFoldInError(t *testing.T) {
 
 func TestBatcherCloseDrainsAndRejects(t *testing.T) {
 	model, x := smallModel(t)
-	b := newBatcher(model, Config{Window: 20 * time.Millisecond}.withDefaults(), nil)
+	b := newBatcher(model, Config{}.withDefaults(), nil)
 	// Queue a wave on the buffered channel, then Close: every queued request
 	// must be flushed (drained), not dropped.
 	reqs := make([]*foldRequest, 8)
@@ -143,7 +260,7 @@ func TestBatcherCloseDrainsAndRejects(t *testing.T) {
 
 func TestBatcherContextCancel(t *testing.T) {
 	model, x := smallModel(t)
-	b := newBatcher(model, Config{Window: 200 * time.Millisecond}.withDefaults(), nil)
+	b := newBatcher(model, Config{}.withDefaults(), nil)
 	defer b.Close()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -154,7 +271,7 @@ func TestBatcherContextCancel(t *testing.T) {
 
 func TestRegistryLifecycle(t *testing.T) {
 	model, x := smallModel(t)
-	reg := NewRegistry(Config{Window: time.Millisecond, KeepVersions: 2}, nil)
+	reg := NewRegistry(Config{KeepVersions: 2}, nil)
 	defer reg.Close()
 
 	if _, err := reg.Register("", model, ""); err == nil {
@@ -242,7 +359,7 @@ func TestRegistryLifecycle(t *testing.T) {
 
 func TestRegistryRollbackThenRegisterEvicts(t *testing.T) {
 	model, _ := smallModel(t)
-	reg := NewRegistry(Config{Window: time.Millisecond, KeepVersions: 2}, NewMetrics())
+	reg := NewRegistry(Config{KeepVersions: 2}, NewMetrics())
 	defer reg.Close()
 	for i := 0; i < 2; i++ {
 		if _, err := reg.Register("m", model, "p"); err != nil {

@@ -80,7 +80,7 @@ func postImpute(t *testing.T, client *http.Client, url string, req imputeRequest
 func TestServerEndToEnd(t *testing.T) {
 	path, orig, tail := fixture(t)
 	metrics := NewMetrics()
-	registry := NewRegistry(Config{Window: 20 * time.Millisecond, FoldInIters: 100}, metrics)
+	registry := NewRegistry(Config{FoldInIters: 100}, metrics)
 	defer registry.Close()
 	if _, err := registry.LoadFile("air", path); err != nil {
 		t.Fatal(err)
@@ -97,8 +97,11 @@ func TestServerEndToEnd(t *testing.T) {
 	client := &http.Client{Timeout: 10 * time.Second}
 
 	// Phase 1: 48 concurrent single-row requests, each hiding one non-SI
-	// cell of a held-out row.
+	// cell of a held-out row. The first batch is held in compute until every
+	// other request has queued behind it, so the rest must coalesce.
 	const nreq = 48
+	gate := holdBatches(t)
+	defer gate.open() // before registry.Close, which waits for the held batch
 	_, cols := orig.Dims()
 	type outcome struct {
 		predErr float64 // |prediction − truth| on the hidden cell
@@ -150,6 +153,15 @@ func TestServerEndToEnd(t *testing.T) {
 		}(i)
 	}
 	close(start)
+	first := gate.wait(t)
+	queued := time.Now().Add(10 * time.Second)
+	for metrics.QueueDepth() < int64(nreq-first.Requests) {
+		if time.Now().After(queued) {
+			t.Fatalf("%d of %d requests queued behind the held batch", metrics.QueueDepth(), nreq-first.Requests)
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+	gate.open()
 	wg.Wait()
 	var predMAE, baseMAE float64
 	for _, o := range outcomes {
@@ -162,7 +174,7 @@ func TestServerEndToEnd(t *testing.T) {
 		t.Fatalf("served imputations MAE %v not better than column-mean baseline %v", predMAE, baseMAE)
 	}
 
-	// Metrics: the coalescing window must have produced multi-row batches.
+	// Metrics: the queued requests must have been served in multi-row batches.
 	resp, err := client.Get(base + "/metrics")
 	if err != nil {
 		t.Fatal(err)
@@ -186,10 +198,14 @@ func TestServerEndToEnd(t *testing.T) {
 		t.Fatalf("rows_per_second %v", snap.RowsPerSecond)
 	}
 
-	// Phase 2: shutdown must drain in-flight requests. Launch a wave that
-	// parks inside the 20ms batch window, wait until every handler is in
-	// flight, then Shutdown and require all of them to succeed.
+	// Phase 2: shutdown must drain in-flight requests. Launch a wave whose
+	// first batch is held in compute until Shutdown has begun, wait until
+	// every handler is in flight, then Shutdown and require all of them to
+	// succeed.
 	const drainReq = 8
+	drainGate := holdBatches(t)
+	defer drainGate.open()
+	server.RegisterOnShutdown(drainGate.open)
 	codes := make(chan int, drainReq)
 	for i := 0; i < drainReq; i++ {
 		go func(i int) {
@@ -203,9 +219,13 @@ func TestServerEndToEnd(t *testing.T) {
 			codes <- resp.StatusCode
 		}(i)
 	}
+	drainGate.wait(t)
 	deadline := time.Now().Add(2 * time.Second)
 	for metrics.Inflight() < drainReq && time.Now().Before(deadline) {
 		time.Sleep(100 * time.Microsecond)
+	}
+	if n := metrics.Inflight(); n < drainReq {
+		t.Fatalf("%d of %d requests in flight before Shutdown", n, drainReq)
 	}
 	shutdownCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
@@ -225,7 +245,7 @@ func TestServerEndToEnd(t *testing.T) {
 func TestServerFullyObservedRoundTrip(t *testing.T) {
 	path, orig, tail := fixture(t)
 	metrics := NewMetrics()
-	registry := NewRegistry(Config{Window: time.Millisecond}, metrics)
+	registry := NewRegistry(Config{}, metrics)
 	defer registry.Close()
 	if _, err := registry.LoadFile("air", path); err != nil {
 		t.Fatal(err)
@@ -260,7 +280,7 @@ func TestServerFullyObservedRoundTrip(t *testing.T) {
 func TestServerValidationAndErrors(t *testing.T) {
 	path, _, _ := fixture(t)
 	metrics := NewMetrics()
-	registry := NewRegistry(Config{Window: time.Millisecond}, metrics)
+	registry := NewRegistry(Config{}, metrics)
 	defer registry.Close()
 	if _, err := registry.LoadFile("air", path); err != nil {
 		t.Fatal(err)
@@ -307,7 +327,7 @@ func TestServerValidationAndErrors(t *testing.T) {
 func TestServerAdminLoadReloadRemove(t *testing.T) {
 	path, orig, tail := fixture(t)
 	metrics := NewMetrics()
-	registry := NewRegistry(Config{Window: time.Millisecond}, metrics)
+	registry := NewRegistry(Config{}, metrics)
 	defer registry.Close()
 	if _, err := registry.LoadFile("air", path); err != nil {
 		t.Fatal(err)
@@ -469,11 +489,9 @@ func checkOverloaded(t *testing.T, resp *http.Response, doc map[string]any) int 
 func TestServerOverloadShedsAndRecovers(t *testing.T) {
 	path, orig, tail := fixture(t)
 	metrics := NewMetrics()
-	// A window that fits one full-row request (cost 6 of 8) but not two, a
-	// long coalescing window to park the first request in flight, and an
-	// adaptation cadence pushed out past the test so the window stays put.
+	// A window that fits one full-row request (cost 6 of 8) but not two, and
+	// an adaptation cadence pushed out past the test so the window stays put.
 	registry := NewRegistry(Config{
-		Window: 250 * time.Millisecond,
 		Admission: AdmissionConfig{
 			MaxCost: 8, MinCost: 8,
 			TargetP95: time.Hour, AdaptEvery: time.Hour,
@@ -498,21 +516,17 @@ func TestServerOverloadShedsAndRecovers(t *testing.T) {
 	defer ts.Close()
 	client := ts.Client()
 
-	// Park one admitted request inside the coalescing window.
+	// Hold one admitted request in flight, inside its batch's compute.
+	gate := holdBatches(t)
+	defer gate.open() // before ts.Close and registry.Close, which wait for it
 	blocked := make(chan int, 1)
 	go func() {
 		_, resp := postImpute(t, client, ts.URL+"/v1/models/air/impute", imputeRequest{Rows: [][]*float64{fullRow(orig, tail)}})
 		blocked <- resp.StatusCode
 	}()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if _, admitted := srv.Admission().State(); admitted > 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("parked request never admitted")
-		}
-		time.Sleep(100 * time.Microsecond)
+	gate.wait(t)
+	if _, admitted := srv.Admission().State(); admitted == 0 {
+		t.Fatal("parked request never admitted")
 	}
 
 	// Overload wave: every request must shed with the full 429 contract.
@@ -536,6 +550,7 @@ func TestServerOverloadShedsAndRecovers(t *testing.T) {
 	for s := range sheds {
 		checkOverloaded(t, s.resp, s.doc)
 	}
+	gate.open()
 	if code := <-blocked; code != http.StatusOK {
 		t.Fatalf("parked request shed alongside the wave: status %d", code)
 	}
@@ -573,7 +588,7 @@ func TestServerReloadRollbackUnderLoad(t *testing.T) {
 	// KeepVersions exceeds the number of reloads below so no batcher is ever
 	// evicted mid-flight: with retention this generous, zero requests may
 	// fail for any reason.
-	registry := NewRegistry(Config{Window: time.Millisecond, KeepVersions: 16}, metrics)
+	registry := NewRegistry(Config{KeepVersions: 16}, metrics)
 	defer registry.Close()
 	if _, err := registry.LoadFile("air", path); err != nil {
 		t.Fatal(err)
@@ -706,7 +721,7 @@ func TestRegistryRefusesPartialModels(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	registry := NewRegistry(Config{Window: time.Millisecond}, nil)
+	registry := NewRegistry(Config{}, nil)
 	defer registry.Close()
 	if _, err := registry.Register("air", model, partialPath); !errors.Is(err, ErrPartialModel) {
 		t.Fatalf("Register(partial) error = %v, want ErrPartialModel", err)

@@ -406,7 +406,7 @@ func (s *Server) handleImpute(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// Once Submit enqueues the request, the batcher owns releasing its
-	// admission cost — including requests dropped from a parked batch after
+	// admission cost — including requests dropped from a batch after
 	// their deadline, whose cost returns to the window without a compute.
 	release := func(computed bool, batchLatency time.Duration) {
 		if computed {
@@ -430,7 +430,7 @@ func (s *Server) handleImpute(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusServiceUnavailable, "%v", err)
 		return
 	case errors.Is(err, context.Canceled):
-		// Client disconnected while parked or computing: nobody reads the
+		// Client disconnected while queued or computing: nobody reads the
 		// response, but the lifecycle still settles (timeout accounting; the
 		// breaker is not charged — the server did nothing wrong).
 		s.health.Abort(probe)
@@ -438,7 +438,7 @@ func (s *Server) handleImpute(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusGatewayTimeout, "client went away")
 		return
 	case errors.Is(err, context.DeadlineExceeded) || errors.Is(err, core.ErrInterrupted):
-		// The request's own deadline expired (parked too long, or the whole
+		// The request's own deadline expired (queued too long, or the whole
 		// batch was cancelled — possible only once every member's deadline
 		// passed). An honest 504, and a slowness signal for the breaker.
 		s.health.Report(false, time.Since(start), probe)
