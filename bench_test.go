@@ -78,10 +78,10 @@ func BenchmarkNeighborGraph(b *testing.B)          { benchExperiment(b, "ablatio
 // SMFL should be at least as fast per fit as SMF (fewer V columns updated)
 // despite its extra K-means step. ---
 
-func benchFit(b *testing.B, method core.Method, n int, missRate float64) {
+func benchFit(b *testing.B, method core.Method, n, m int, missRate float64, maxIter int) {
 	b.Helper()
 	res, err := dataset.Generate(dataset.Spec{
-		Name: "bench", N: n, M: 8, L: 2,
+		Name: "bench", N: n, M: m, L: 2,
 		Latents: 3, Bumps: 4, Clusters: 5, Noise: 0.03, Seed: 1, DominantShare: 0.6,
 	})
 	if err != nil {
@@ -94,7 +94,7 @@ func benchFit(b *testing.B, method core.Method, n int, missRate float64) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	cfg := core.Config{K: 6, Lambda: 0.1, P: 3, MaxIter: 100, Tol: 1e-9, Seed: 1}
+	cfg := core.Config{K: 6, Lambda: 0.1, P: 3, MaxIter: maxIter, Tol: 1e-9, Seed: 1}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := core.Fit(res.Data.X, mask, res.Data.L, method, cfg); err != nil {
@@ -103,15 +103,29 @@ func benchFit(b *testing.B, method core.Method, n int, missRate float64) {
 	}
 }
 
-func BenchmarkFitNMF(b *testing.B)  { benchFit(b, core.NMF, 600, 0.1) }
-func BenchmarkFitSMF(b *testing.B)  { benchFit(b, core.SMF, 600, 0.1) }
-func BenchmarkFitSMFL(b *testing.B) { benchFit(b, core.SMFL, 600, 0.1) }
+func BenchmarkFitNMF(b *testing.B)  { benchFit(b, core.NMF, 600, 8, 0.1, 100) }
+func BenchmarkFitSMF(b *testing.B)  { benchFit(b, core.SMF, 600, 8, 0.1, 100) }
+func BenchmarkFitSMFL(b *testing.B) { benchFit(b, core.SMFL, 600, 8, 0.1, 100) }
 
 // The paper's high missing rates are where the fused masked kernels pay off:
 // only observed dot products are evaluated, so the per-iteration cost scales
 // with |Ω| instead of N·M.
-func BenchmarkFitSMFLMissing50(b *testing.B) { benchFit(b, core.SMFL, 600, 0.5) }
-func BenchmarkFitSMFLMissing90(b *testing.B) { benchFit(b, core.SMFL, 600, 0.9) }
+func BenchmarkFitSMFLMissing50(b *testing.B) { benchFit(b, core.SMFL, 600, 8, 0.5, 100) }
+func BenchmarkFitSMFLMissing90(b *testing.B) { benchFit(b, core.SMFL, 600, 8, 0.9, 100) }
+
+// BenchmarkFitWide probes the full-sweep iteration on wide 20 000-row tables
+// across mask densities (the two SI columns are always observed), from
+// half-observed to full, where the streaming dense kernels used to win.
+func BenchmarkFitWide(b *testing.B) {
+	for _, c := range []struct {
+		m    int
+		miss float64
+	}{{50, 0.5}, {50, 0.1}, {50, 0}, {12, 0}} {
+		b.Run(fmt.Sprintf("cols=%d/missing=%.1f", c.m, c.miss), func(b *testing.B) {
+			benchFit(b, core.SMFL, 20000, c.m, c.miss, 60)
+		})
+	}
+}
 
 // --- Kernel micro-benchmarks. ---
 

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 
+	"github.com/spatialmf/smfl/internal/faultinject"
 	"github.com/spatialmf/smfl/internal/landmark"
 	"github.com/spatialmf/smfl/internal/mat"
 	"github.com/spatialmf/smfl/internal/spatial"
@@ -139,9 +140,9 @@ func runFit(model *Model, tr *trainer, x, rx *mat.Dense, omega *mat.Mask, graph 
 	var err error
 	switch model.Config.Updater {
 	case Multiplicative:
-		err = runMultiplicative(model, x, rx, omega, graph, tr)
+		err = runMultiplicative(model, rx, omega, graph, tr)
 	case GradientDescent:
-		err = runGradientDescent(model, x, rx, omega, graph, tr)
+		err = runGradientDescent(model, rx, omega, graph, tr)
 	case SGD, SVRG:
 		err = runStochastic(model, mat.NewDenseSource(x, omega), graph, tr)
 	default:
@@ -198,45 +199,122 @@ func initFactors(model *Model, n, m int) {
 	model.V = mat.RandomUniform(rng, cfg.K, m, 1e-3, 1)
 }
 
-// runMultiplicative iterates Formulas 13/14. The trainer threads in the
-// fault-tolerance concerns: cancellation at iteration boundaries, the
-// divergence watchdog (a failed health check restores the last good factors,
-// re-jitters the offender, and retries the same iteration), and periodic
-// atomic checkpoints. When resuming, model.Iters/Objective carry the restored
-// position and the loop continues from there.
-func runMultiplicative(model *Model, x, rx *mat.Dense, omega *mat.Mask, graph *spatial.Graph, tr *trainer) error {
+// runMultiplicative iterates Formulas 13/14.
+func runMultiplicative(model *Model, rx *mat.Dense, omega *mat.Mask, graph *spatial.Graph, tr *trainer) error {
 	cfg := model.Config
 	u, v := model.U, model.V
-	n, m := x.Dims()
+	n, m := rx.Dims()
 	k := cfg.K
 	lam := cfg.Lambda
+	reg := graph != nil && lam > 0
 
-	startCol := 0
-	if model.Method == SMFL {
-		startCol = model.L // landmark columns are frozen
-	}
-
-	uv := mat.NewDense(n, m)
-	numU := mat.NewDense(n, k)
-	denU := mat.NewDense(n, k)
+	// Confidence weighting (extension): the sweep folds W into R_Ω(X) once
+	// and into R_Ω(UV) each pass; with W = 1 this is a no-op.
+	sw := omega.NewSweep(rx, cfg.Weights, k)
 	du := mat.NewDense(n, k)
-	wu := mat.NewDense(n, k)
-	numV := mat.NewDense(k, m)
-	denV := mat.NewDense(k, m)
-
-	// Confidence weighting (extension): fold W into R_Ω(X) once and into
-	// R_Ω(UV) each iteration; with W = 1 this is a no-op.
-	weights := cfg.Weights
-	if weights != nil {
-		rx = mat.Hadamard(nil, rx, weights) // local weighted copy
-	}
 
 	// Hoisted out of the iteration loop: the factor backing slices are
 	// stable, so one fetch serves every element update.
-	ud := u.Data()
-	numUD, denUD := numU.Data(), denU.Data()
+	ud, vd, dud := u.Data(), v.Data(), du.Data()
 	eps := cfg.Eps
 
+	before := func() {
+		if reg {
+			graph.MulD(du, u)
+		}
+	}
+	// U ⊙ (R_Ω(X)Vᵀ + λDU) ⊘ (R_Ω(UV)Vᵀ + λWU), with (WU)_i = deg_i·u_i.
+	updateU := func(i int, num, den []float64) {
+		ui := ud[i*k : (i+1)*k]
+		if !reg {
+			for t := range ui {
+				ui[t] *= num[t] / (den[t] + eps)
+			}
+			return
+		}
+		di := dud[i*k : (i+1)*k]
+		deg := graph.Degree(i)
+		for t := range ui {
+			ui[t] *= (num[t] + lam*di[t]) / (den[t] + lam*(deg*ui[t]) + eps)
+		}
+	}
+	// V ⊙ (UᵀR_Ω(X)) ⊘ (UᵀR_Ω(UV)), landmark columns fixed.
+	updateV := func(j int, num, den []float64) {
+		for t := range num {
+			vd[t*m+j] *= num[t] / (den[t] + eps)
+		}
+	}
+	return runSweeps(model, sw, graph, tr, before, updateU, updateV)
+}
+
+// runGradientDescent iterates the plain projected gradient scheme of
+// Section III-B1 (used by the SMF-GD ablation). The trainer's stepScale
+// shrinks the learning rate on every rollback, so a diverging rate
+// self-heals instead of blowing up to Inf (Zhao et al. observe such
+// divergence is expected behavior for stochastic MF, arXiv:1705.06884).
+func runGradientDescent(model *Model, rx *mat.Dense, omega *mat.Mask, graph *spatial.Graph, tr *trainer) error {
+	cfg := model.Config
+	u, v := model.U, model.V
+	n, m := rx.Dims()
+	k := cfg.K
+	lam := cfg.Lambda
+	reg := graph != nil && lam > 0
+
+	sw := omega.NewSweep(rx, nil, k)
+	lu := mat.NewDense(n, k)
+	ud, vd, lud := u.Data(), v.Data(), lu.Data()
+	var lr float64
+
+	before := func() {
+		lr = cfg.LearningRate * tr.stepScale
+		if reg {
+			graph.MulL(lu, u)
+		}
+	}
+	// ∂O/∂U = −2 R_Ω(X)Vᵀ + 2 R_Ω(UV)Vᵀ + 2λLU, projected onto U ≥ 0.
+	updateU := func(i int, num, den []float64) {
+		ui := ud[i*k : (i+1)*k]
+		li := lud[i*k : (i+1)*k]
+		for t := range ui {
+			g := den[t] - num[t]
+			if reg {
+				g += lam * li[t]
+			}
+			ui[t] += -2 * lr * g
+			if ui[t] < 0 {
+				ui[t] = 0
+			}
+		}
+	}
+	// ∂O/∂V = −2 UᵀR_Ω(X) + 2 UᵀR_Ω(UV); landmark columns frozen.
+	updateV := func(j int, num, den []float64) {
+		for t := range num {
+			at := t*m + j
+			vd[at] -= 2 * lr * (den[t] - num[t])
+			if vd[at] < 0 {
+				vd[at] = 0
+			}
+		}
+	}
+	return runSweeps(model, sw, graph, tr, before, updateU, updateV)
+}
+
+// runSweeps is the iteration loop of both full-sweep updaters. Each
+// iteration runs before (the graph product on the old U), the U pass, the V
+// pass, and the objective pass, which caches R_Ω(UV) for the next U pass.
+// The trainer threads in the fault-tolerance concerns: cancellation at
+// iteration boundaries, the divergence watchdog (a failed health check
+// restores the last good factors, perturbs the dynamics, and retries the
+// same iteration), and periodic atomic checkpoints. When resuming,
+// model.Iters/Objective carry the restored position and the loop continues
+// from there.
+func runSweeps(model *Model, sw *mat.Sweep, graph *spatial.Graph, tr *trainer,
+	before func(), updateU, updateV func(int, []float64, []float64)) error {
+	cfg := model.Config
+	u, v := model.U, model.V
+	startCol := model.startCol() // landmark columns are frozen
+
+	stale := true // the sweep holds no R_Ω(UV) of (U, V) yet
 	it := model.Iters
 	for it < cfg.MaxIter {
 		if err := tr.interrupted(model); err != nil {
@@ -245,53 +323,18 @@ func runMultiplicative(model *Model, x, rx *mat.Dense, omega *mat.Mask, graph *s
 		if err := tr.fireIterFault(model, it); err != nil {
 			return err
 		}
+		// A FitIter hook may have rewritten U or V in place.
+		if stale || faultinject.Enabled() {
+			sw.Objective(u, v)
+		}
 
-		// ---- U step: U ⊙ (R_Ω(X)Vᵀ + λDU) ⊘ (R_Ω(UV)Vᵀ + λWU) ----
-		omega.ProjectMul(uv, u, v)
-		if weights != nil {
-			mat.Hadamard(uv, uv, weights)
-		}
-		omega.MulBTObserved(numU, rx, v)
-		omega.MulBTObserved(denU, uv, v)
-		if graph != nil && lam > 0 {
-			graph.MulD(du, u)
-			graph.MulW(wu, u)
-			mat.AddScaled(numU, numU, lam, du)
-			mat.AddScaled(denU, denU, lam, wu)
-		}
-		mat.ParallelRange(len(ud), 2*len(ud), func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				ud[i] *= numUD[i] / (denUD[i] + eps)
-			}
-		})
-
-		// ---- V step: V ⊙ (UᵀR_Ω(X)) ⊘ (UᵀR_Ω(UV)), landmark columns fixed ----
-		omega.ProjectMul(uv, u, v)
-		if weights != nil {
-			mat.Hadamard(uv, uv, weights)
-		}
-		atMulCols(numV, u, rx, startCol, omega)
-		atMulCols(denV, u, uv, startCol, omega)
-		mat.ParallelRange(m-startCol, 2*k*(m-startCol), func(lo, hi int) {
-			for r := 0; r < k; r++ {
-				vr := v.Row(r)
-				nr := numV.Row(r)
-				dr := denV.Row(r)
-				for j := startCol + lo; j < startCol+hi; j++ {
-					vr[j] *= nr[j] / (dr[j] + eps)
-				}
-			}
-		})
-
-		// ---- objective + early stop (fused: no third N×M matmul) ----
-		var obj float64
-		if weights != nil {
-			obj = omega.MaskedWeightedFrob2Mul(x, u, v, weights)
-		} else {
-			obj = omega.MaskedFrob2Mul(x, u, v)
-		}
-		if graph != nil && lam > 0 {
-			obj += lam * graph.QuadForm(u)
+		before()
+		sw.UPass(u, v, updateU)
+		sw.VPass(u, v, startCol, updateV)
+		obj := sw.Objective(u, v)
+		stale = false
+		if graph != nil && cfg.Lambda > 0 {
+			obj += cfg.Lambda * graph.QuadForm(u)
 		}
 
 		// ---- divergence watchdog: roll back and retry this iteration ----
@@ -299,179 +342,7 @@ func runMultiplicative(model *Model, x, rx *mat.Dense, omega *mat.Mask, graph *s
 			if err := tr.recover(model, it, reason); err != nil {
 				return err
 			}
-			continue
-		}
-
-		prevObj := lastObj(model)
-		model.Objective = append(model.Objective, obj)
-		model.Iters = it + 1
-		tr.commit(model, obj)
-		if !math.IsInf(prevObj, 1) && math.Abs(prevObj-obj) <= cfg.Tol*math.Max(prevObj, 1e-12) {
-			model.Converged = true
-		}
-		it++
-		if err := tr.maybeCheckpoint(model, model.Converged || it == cfg.MaxIter); err != nil {
-			model.Partial = true
-			return err
-		}
-		if model.Converged {
-			break
-		}
-	}
-	return nil
-}
-
-// atMulCols stores (aᵀb)[:, c0:] into dst[:, c0:] (columns below c0 are left
-// untouched). Skipping the frozen landmark columns is exactly the reduced
-// computation the paper credits to landmarks (Section IV-E). The work is
-// column-partitioned across the worker pool (like mat.MulAT) so chunks write
-// disjoint dst columns. When omega is sparse and b is supported on Ω (true
-// for both call sites: R_Ω(X) and R_Ω(UV)), only the observed entries of b
-// are visited; both paths accumulate in the same i-ascending order, so they
-// agree bit-for-bit on Ω-supported inputs.
-func atMulCols(dst, a, b *mat.Dense, c0 int, omega *mat.Mask) {
-	n, k := a.Dims()
-	_, m := b.Dims()
-	if m == c0 {
-		return
-	}
-	fused := omega != nil && omega.Density() < mat.DenseCutover
-	ad, bd, dd := a.Data(), b.Data(), dst.Data()
-	mat.ParallelRange(m-c0, n*k*(m-c0), func(lo, hi int) {
-		jlo, jhi := c0+lo, c0+hi
-		for r := 0; r < k; r++ {
-			dr := dd[r*m : (r+1)*m]
-			for j := jlo; j < jhi; j++ {
-				dr[j] = 0
-			}
-		}
-		for i := 0; i < n; i++ {
-			ai := ad[i*k : (i+1)*k]
-			bi := bd[i*m : (i+1)*m]
-			if fused {
-				// Every fused caller passes an Ω-supported b (rx or the
-				// output of ProjectMul), so unobserved entries are exact
-				// zeros and a value test replaces the mask bit test. The
-				// r-outer 4-wide blocks keep the dst writes streaming.
-				r := 0
-				for ; r+4 <= k; r += 4 {
-					a0, a1, a2, a3 := ai[r], ai[r+1], ai[r+2], ai[r+3]
-					d0 := dd[r*m : (r+1)*m]
-					d1 := dd[(r+1)*m : (r+2)*m]
-					d2 := dd[(r+2)*m : (r+3)*m]
-					d3 := dd[(r+3)*m : (r+4)*m]
-					for j := jlo; j < jhi; j++ {
-						bv := bi[j]
-						if bv == 0 { //lint:ignore floatcmp exact-zero sparsity skip
-							continue
-						}
-						d0[j] += a0 * bv
-						d1[j] += a1 * bv
-						d2[j] += a2 * bv
-						d3[j] += a3 * bv
-					}
-				}
-				for ; r < k; r++ {
-					av := ai[r]
-					dr := dd[r*m : (r+1)*m]
-					for j := jlo; j < jhi; j++ {
-						if bv := bi[j]; bv != 0 { //lint:ignore floatcmp exact-zero sparsity skip
-							dr[j] += av * bv
-						}
-					}
-				}
-				continue
-			}
-			for r := 0; r < k; r++ {
-				av := ai[r]
-				if av == 0 { //lint:ignore floatcmp exact-zero sparsity skip
-					continue
-				}
-				dr := dd[r*m : (r+1)*m]
-				for j := jlo; j < jhi; j++ {
-					dr[j] += av * bi[j]
-				}
-			}
-		}
-	})
-}
-
-// runGradientDescent iterates the plain projected gradient scheme of
-// Section III-B1 (used by the SMF-GD ablation). The trainer threads in
-// cancellation, checkpoints, and the divergence watchdog; its stepScale
-// shrinks the learning rate on every rollback, so a diverging rate
-// self-heals instead of blowing up to Inf (Zhao et al. observe such
-// divergence is expected behavior for stochastic MF, arXiv:1705.06884).
-func runGradientDescent(model *Model, x, rx *mat.Dense, omega *mat.Mask, graph *spatial.Graph, tr *trainer) error {
-	cfg := model.Config
-	u, v := model.U, model.V
-	n, m := x.Dims()
-	k := cfg.K
-	lam := cfg.Lambda
-
-	startCol := 0
-	if model.Method == SMFL {
-		startCol = model.L
-	}
-
-	uv := mat.NewDense(n, m)
-	gradU := mat.NewDense(n, k)
-	tmpU := mat.NewDense(n, k)
-	lu := mat.NewDense(n, k)
-	gradV := mat.NewDense(k, m)
-	tmpV := mat.NewDense(k, m)
-
-	it := model.Iters
-	for it < cfg.MaxIter {
-		if err := tr.interrupted(model); err != nil {
-			return err
-		}
-		if err := tr.fireIterFault(model, it); err != nil {
-			return err
-		}
-		lr := cfg.LearningRate * tr.stepScale
-
-		omega.ProjectMul(uv, u, v)
-
-		// ∂O/∂U = −2 R_Ω(X)Vᵀ + 2 R_Ω(UV)Vᵀ + 2λLU
-		omega.MulBTObserved(gradU, uv, v)
-		omega.MulBTObserved(tmpU, rx, v)
-		mat.Sub(gradU, gradU, tmpU)
-		if graph != nil && lam > 0 {
-			graph.MulL(lu, u)
-			mat.AddScaled(gradU, gradU, lam, lu)
-		}
-		mat.AddScaled(u, u, -2*lr, gradU)
-		u.ClampMin(0)
-
-		// ∂O/∂V = −2 UᵀR_Ω(X) + 2 UᵀR_Ω(UV); landmark columns frozen.
-		omega.ProjectMul(uv, u, v)
-		atMulCols(gradV, u, uv, startCol, omega)
-		atMulCols(tmpV, u, rx, startCol, omega)
-		mat.ParallelRange(m-startCol, 4*k*(m-startCol), func(lo, hi int) {
-			for r := 0; r < k; r++ {
-				vr := v.Row(r)
-				gr := gradV.Row(r)
-				tr := tmpV.Row(r)
-				for j := startCol + lo; j < startCol+hi; j++ {
-					vr[j] -= 2 * lr * (gr[j] - tr[j])
-					if vr[j] < 0 {
-						vr[j] = 0
-					}
-				}
-			}
-		})
-
-		// Fused objective: no third N×M matmul per iteration.
-		obj := omega.MaskedFrob2Mul(x, u, v)
-		if graph != nil && lam > 0 {
-			obj += lam * graph.QuadForm(u)
-		}
-
-		if ok, reason := tr.healthy(obj, u, v); !ok {
-			if err := tr.recover(model, it, reason); err != nil {
-				return err
-			}
+			stale = true
 			continue
 		}
 

@@ -332,3 +332,229 @@ func (m *Mask) maskedFrob2Mul(x, u, v, wts *Dense) float64 {
 		return s
 	})
 }
+
+// Sweep holds what the three row passes of one full-sweep iteration share:
+// the cached R_Ω(UV) and the V pass's column-major scratch, allocated once
+// per fit. An iteration runs UPass, VPass, then Objective. Objective leaves
+// R_Ω(UV) of the factors it scored in the cache, and the next UPass reads it
+// instead of recomputing the product; a caller that changes U or V between
+// an Objective and the next UPass (a rollback, a fault hook, a resume) must
+// call Objective again first.
+//
+// Every pass keeps the partition and the accumulation order of the
+// stand-alone kernels it replaces (MaskedFrob2Mul, MulBTObserved, and
+// MulAT over Ω-supported operands), so below DenseCutover an iteration is
+// Float64bits-identical to composing them. At or above the cutover the
+// stand-alone MulBTObserved delegates to MulBT's split accumulators, while
+// UPass sums sequentially: the two differ in the last bits.
+type Sweep struct {
+	mask *Mask
+	k    int
+	rx   *Dense // R_Ω(X), scored by Objective
+	wrx  *Dense // W⊙R_Ω(X) (rx itself when unweighted), read by UPass and VPass
+	w    *Dense // confidence weights, nil when unweighted
+	uv   *Dense // W⊙R_Ω(UV) of the last Objective's factors; zero off Ω
+
+	vt         []float64 // V copied column-major (M×K)
+	numV, denV []float64 // column-major Uᵀ(W⊙R_Ω(X)) and Uᵀ(W⊙R_Ω(UV))
+}
+
+// NewSweep prepares the passes over rx = R_Ω(X) for rank-k factors. w, when
+// non-nil, weights every residual (the objective becomes Σ w·(x − uv)²).
+func (m *Mask) NewSweep(rx, w *Dense, k int) *Sweep {
+	if rx.rows != m.rows || rx.cols != m.cols {
+		panic(fmt.Sprintf("mat: NewSweep data %dx%d vs mask %dx%d", rx.rows, rx.cols, m.rows, m.cols))
+	}
+	s := &Sweep{mask: m, k: k, rx: rx, wrx: rx, w: w, uv: NewDense(m.rows, m.cols)}
+	if w != nil {
+		if w.rows != m.rows || w.cols != m.cols {
+			panic(fmt.Sprintf("mat: NewSweep weights %dx%d vs mask %dx%d", w.rows, w.cols, m.rows, m.cols))
+		}
+		s.wrx = Hadamard(nil, rx, w)
+	}
+	buf := make([]float64, 3*m.cols*k)
+	s.vt, s.numV, s.denV = buf[:m.cols*k], buf[m.cols*k:2*m.cols*k], buf[2*m.cols*k:]
+	return s
+}
+
+func (s *Sweep) checkFactors(op string, u, v *Dense) {
+	m := s.mask
+	if u.rows != m.rows || v.cols != m.cols || u.cols != s.k || v.rows != s.k {
+		panic(fmt.Sprintf("mat: Sweep.%s %dx%d · %dx%d vs mask %dx%d at rank %d",
+			op, u.rows, u.cols, v.rows, v.cols, m.rows, m.cols, s.k))
+	}
+}
+
+// Objective returns ‖R_Ω(X − UV)‖²_F (Σ w·d·d when weighted) and caches
+// W⊙R_Ω(UV) for the next UPass. It reduces over MaskedFrob2Mul's chunk
+// partition in its per-row order, so the two return identical bits.
+func (s *Sweep) Objective(u, v *Dense) float64 {
+	s.checkFactors("Objective", u, v)
+	m := s.mask
+	k, cols := s.k, m.cols
+	ix := m.rowIdx()
+	return parallelReduce(m.rows, len(ix.idx)*k, func(lo, hi int) float64 {
+		var acc float64
+		for i := lo; i < hi; i++ {
+			jsr := ix.idx[ix.indptr[i]:ix.indptr[i+1]]
+			if len(jsr) == 0 {
+				continue
+			}
+			// Only observed entries are ever written, so the rest of the
+			// cache stays at its allocation-time zeros.
+			pi := s.uv.data[i*cols : (i+1)*cols]
+			predictRow(pi, u.data[i*k:(i+1)*k], v, jsr)
+			xi := s.rx.data[i*cols : (i+1)*cols]
+			if s.w == nil {
+				for _, j := range jsr {
+					d := xi[j] - pi[j]
+					acc += d * d
+				}
+				continue
+			}
+			wi := s.w.data[i*cols : (i+1)*cols]
+			for _, j := range jsr {
+				d := xi[j] - pi[j]
+				acc += wi[j] * d * d
+				pi[j] *= wi[j]
+			}
+		}
+		return acc
+	})
+}
+
+// UPass walks the rows once, computing num = (W⊙R_Ω(X))_i·Vᵀ and
+// den = (W⊙R_Ω(UV))_i·Vᵀ from the cached product, and hands each row's pair
+// to update, which rewrites row i of the caller's U in place. update runs
+// concurrently on disjoint rows and must touch only row i; num and den are
+// scratch reused for the next row. The rows are split like MulBTObserved's
+// and each sum runs in its order.
+func (s *Sweep) UPass(u, v *Dense, update func(i int, num, den []float64)) {
+	s.checkFactors("UPass", u, v)
+	m := s.mask
+	k, cols := s.k, m.cols
+	ix := m.rowIdx()
+	ParallelRange(m.rows, len(ix.idx)*k, func(lo, hi int) {
+		acc := make([]float64, 2*k)
+		num, den := acc[:k], acc[k:]
+		for i := lo; i < hi; i++ {
+			jsr := ix.idx[ix.indptr[i]:ix.indptr[i+1]]
+			xi := s.wrx.data[i*cols : (i+1)*cols]
+			pi := s.uv.data[i*cols : (i+1)*cols]
+			t := 0
+			for ; t+4 <= k; t += 4 {
+				b0 := v.data[t*cols : (t+1)*cols]
+				b1 := v.data[(t+1)*cols : (t+2)*cols]
+				b2 := v.data[(t+2)*cols : (t+3)*cols]
+				b3 := v.data[(t+3)*cols : (t+4)*cols]
+				var n0, n1, n2, n3, d0, d1, d2, d3 float64
+				for _, j := range jsr {
+					xv, pv := xi[j], pi[j]
+					n0 += xv * b0[j]
+					n1 += xv * b1[j]
+					n2 += xv * b2[j]
+					n3 += xv * b3[j]
+					d0 += pv * b0[j]
+					d1 += pv * b1[j]
+					d2 += pv * b2[j]
+					d3 += pv * b3[j]
+				}
+				num[t], num[t+1], num[t+2], num[t+3] = n0, n1, n2, n3
+				den[t], den[t+1], den[t+2], den[t+3] = d0, d1, d2, d3
+			}
+			for ; t < k; t++ {
+				bt := v.data[t*cols : (t+1)*cols]
+				var nt, dt float64
+				for _, j := range jsr {
+					nt += xi[j] * bt[j]
+					dt += pi[j] * bt[j]
+				}
+				num[t], den[t] = nt, dt
+			}
+			update(i, num, den)
+		}
+	})
+}
+
+// VPass recomputes W⊙R_Ω(UV) for the current U and V on the observed
+// columns ≥ c0 and accumulates num = Uᵀ(W⊙R_Ω(X)) and den = Uᵀ(W⊙R_Ω(UV))
+// column by column. It then hands each column's pair to update, which
+// rewrites column j of the caller's V in place (num[t] and den[t] belong to
+// row t). Columns below c0 are neither accumulated nor updated. The columns
+// are split like MulAT's and each chunk walks i ascending, so num and den
+// equal MulAT(u, ·)[:, c0:] over Ω-supported operands bit for bit. update
+// runs concurrently on disjoint columns and must touch only column j. The
+// cache UPass reads is left as it was.
+func (s *Sweep) VPass(u, v *Dense, c0 int, update func(j int, num, den []float64)) {
+	s.checkFactors("VPass", u, v)
+	m := s.mask
+	n, k, cols := m.rows, s.k, m.cols
+	if c0 >= cols {
+		return
+	}
+	for t := 0; t < k; t++ {
+		for j, vv := range v.data[t*cols : (t+1)*cols] {
+			s.vt[j*k+t] = vv
+		}
+	}
+	ix := m.rowIdx()
+	vt, numV, denV, wrx := s.vt, s.numV, s.denV, s.wrx.data
+	var wd []float64
+	if s.w != nil {
+		wd = s.w.data
+	}
+	ParallelRange(cols-c0, n*k*(cols-c0), func(lo, hi int) {
+		jlo, jhi := c0+lo, c0+hi
+		clear(numV[jlo*k : jhi*k])
+		clear(denV[jlo*k : jhi*k])
+		for i := 0; i < n; i++ {
+			ui := u.data[i*k : (i+1)*k]
+			for _, j32 := range ix.idx[ix.indptr[i]:ix.indptr[i+1]] {
+				j := int(j32)
+				if j < jlo {
+					continue
+				}
+				if j >= jhi {
+					break
+				}
+				// p sums in ProjectMul's order: 4-wide blocks, then the tail.
+				vj := vt[j*k : (j+1)*k]
+				var p float64
+				t := 0
+				for ; t+4 <= k; t += 4 {
+					p += ui[t]*vj[t] + ui[t+1]*vj[t+1] + ui[t+2]*vj[t+2] + ui[t+3]*vj[t+3]
+				}
+				for ; t < k; t++ {
+					p += ui[t] * vj[t]
+				}
+				if wd != nil {
+					p *= wd[i*cols+j]
+				}
+				// Exact zeros are skipped like the unobserved entries, so a
+				// non-finite U entry cannot turn them into NaN. Reslicing to
+				// len(ui) drops the bounds checks in the loops.
+				xv := wrx[i*cols+j]
+				nj := numV[j*k : (j+1)*k][:len(ui)]
+				dj := denV[j*k : (j+1)*k][:len(ui)]
+				switch {
+				case xv != 0 && p != 0:
+					for t, a := range ui {
+						nj[t] += a * xv
+						dj[t] += a * p
+					}
+				case xv != 0:
+					for t, a := range ui {
+						nj[t] += a * xv
+					}
+				case p != 0:
+					for t, a := range ui {
+						dj[t] += a * p
+					}
+				}
+			}
+		}
+		for j := jlo; j < jhi; j++ {
+			update(j, numV[j*k:(j+1)*k], denV[j*k:(j+1)*k])
+		}
+	})
+}
