@@ -284,6 +284,7 @@ func BenchmarkFoldIn(b *testing.B) {
 	for _, rows := range []int{1, 16, 256} {
 		b.Run(fmt.Sprintf("rows=%d", rows), func(b *testing.B) {
 			fresh := res.Data.X.Slice(0, rows, 0, 8)
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := model.FoldIn(fresh, nil, 50); err != nil {
@@ -345,6 +346,7 @@ func BenchmarkServeClosedLoop(b *testing.B) {
 			lat := make([]time.Duration, b.N)
 			var next atomic.Int64
 			var wg sync.WaitGroup
+			b.ReportAllocs()
 			b.ResetTimer()
 			for c := 0; c < clients; c++ {
 				wg.Add(1)

@@ -20,6 +20,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync/atomic"
 
 	"github.com/spatialmf/smfl/internal/landmark"
 	"github.com/spatialmf/smfl/internal/mat"
@@ -378,6 +379,13 @@ func (n *Norm) Validate(m int) error {
 // shared by any number of concurrent goroutines (the serving layer relies on
 // this; see the -race test in foldin_test.go). Hot reloads must swap the
 // *Model pointer rather than mutate fields in place.
+//
+// In particular V is immutable once the model has served a fold-in: the
+// first FoldIn derives the fold-in start row and Vᵀ from V, Config.Seed and
+// Config.K and reuses them on every later call. Assigning a new V matrix or
+// changing Seed or K rebuilds them; writing V's entries in place does not.
+// A Model must not be copied by value (go vet reports it); share the
+// pointer.
 type Model struct {
 	Method Method
 	Config Config
@@ -410,6 +418,8 @@ type Model struct {
 	// Recoveries counts divergence-watchdog rollbacks performed during the
 	// fit (0 for a numerically uneventful run).
 	Recoveries int
+
+	fold atomic.Pointer[foldBasis] // derived on first fold-in; see Model.basis
 }
 
 // Predict returns the reconstruction X* = U·V.

@@ -11,6 +11,38 @@ import (
 	"github.com/spatialmf/smfl/internal/mat"
 )
 
+// foldBasis is the model-invariant part of every fold-in: the shared start
+// row and the column-major Vᵀ. It depends only on V, K and Seed, so a Model
+// derives it once (see Model.basis) instead of once per call.
+type foldBasis struct {
+	v     *mat.Dense // the V it was derived from
+	seed  int64
+	start []float64 // K uniform draws in [1e-3, 1) from rand.NewSource(Seed+1)
+	vt    []float64 // M×K row-major: Vᵀ, contiguous per column of V
+}
+
+// basis returns the model's fold-in basis, deriving it on first use. A
+// basis built for a different V matrix, Seed or K is never served: replacing
+// m.V or changing Config.Seed or Config.K rebuilds it. Mutating V's entries
+// in place after a fold-in is not detected, which is why V is immutable
+// once a model has served one (see Model). Concurrent first uses may each
+// build a basis; they are identical, and the last store wins.
+func (m *Model) basis() *foldBasis {
+	k := m.Config.K
+	if b := m.fold.Load(); b != nil && b.v == m.V && b.seed == m.Config.Seed && len(b.start) == k {
+		return b
+	}
+	rng := rand.New(rand.NewSource(m.Config.Seed + 1))
+	b := &foldBasis{
+		v:     m.V,
+		seed:  m.Config.Seed,
+		start: mat.RandomUniform(rng, 1, k, 1e-3, 1).Row(0),
+		vt:    m.V.T().Data(),
+	}
+	m.fold.Store(b)
+	return b
+}
+
 // FoldIn computes coefficient rows for out-of-sample tuples against the
 // fitted feature matrix V, without refitting the whole model — the streaming
 // complement to Fit for deployments where new sensor rows arrive after
@@ -28,12 +60,30 @@ import (
 // batch at an iteration boundary, returning the coefficients computed so far
 // with an error wrapping ErrInterrupted.
 //
-// FoldIn only reads the receiver (V, Config) and allocates all scratch
-// locally, so concurrent calls against one Model are safe — audited together
-// with internal/mat, whose operations share no package-level mutable state
-// and only fan goroutines out over disjoint destination rows. The serving
-// layer's micro-batcher (internal/serve) depends on this.
+// FoldIn only reads the receiver (V, Config, the cached fold-in basis) and
+// allocates all scratch locally, so concurrent calls against one Model are
+// safe — audited together with internal/mat, whose operations share no
+// package-level mutable state and only fan goroutines out over disjoint
+// destination rows. The serving layer's micro-batcher (internal/serve)
+// depends on this.
 func (m *Model) FoldIn(rows *mat.Dense, omega *mat.Mask, iters int) (*mat.Dense, error) {
+	return m.foldIn(m.Config.Ctx, rows, omega, iters)
+}
+
+// FoldInCtx is FoldIn under an explicit context: ctx, when non-nil,
+// overrides Config.Ctx for this call only, cancelling the batch at an
+// iteration boundary with an error wrapping ErrInterrupted. The receiver is
+// not mutated, so concurrent FoldInCtx calls against one shared Model — the
+// serving tier's per-batch deadlines — remain safe.
+func (m *Model) FoldInCtx(ctx context.Context, rows *mat.Dense, omega *mat.Mask, iters int) (*mat.Dense, error) {
+	if ctx == nil {
+		ctx = m.Config.Ctx
+	}
+	return m.foldIn(ctx, rows, omega, iters)
+}
+
+// foldIn is FoldIn under ctx (nil = not cancellable).
+func (m *Model) foldIn(ctx context.Context, rows *mat.Dense, omega *mat.Mask, iters int) (*mat.Dense, error) {
 	r, cols := rows.Dims()
 	_, vm := m.V.Dims()
 	if cols != vm {
@@ -42,29 +92,41 @@ func (m *Model) FoldIn(rows *mat.Dense, omega *mat.Mask, iters int) (*mat.Dense,
 	if r == 0 {
 		return nil, errors.New("core: FoldIn needs at least one row")
 	}
-	if omega == nil {
-		omega = mat.FullMask(r, cols)
+	if omega != nil {
+		if or, oc := omega.Dims(); or != r || oc != cols {
+			return nil, errors.New("core: FoldIn mask shape mismatch")
+		}
 	}
-	if or, oc := omega.Dims(); or != r || oc != cols {
-		return nil, errors.New("core: FoldIn mask shape mismatch")
+	// Each row's observed columns, ascending, listed once per call: the
+	// sweep walks row i's list obs[ptr[i]:ptr[i+1]] instead of testing every
+	// mask bit twice per iteration.
+	obs := make([]int32, 0, r*cols)
+	ptr := make([]int, r+1)
+	for i := 0; i < r; i++ {
+		ptr[i] = len(obs)
+		for j, x := range rows.Row(i) {
+			if omega != nil && !omega.Observed(i, j) {
+				continue
+			}
+			if math.IsNaN(x) || math.IsInf(x, 0) || x < 0 {
+				return nil, errors.New("core: FoldIn rows must be finite and nonnegative over Ω")
+			}
+			obs = append(obs, int32(j))
+		}
 	}
-	rx := omega.Project(nil, rows)
-	if !rx.IsFinite() || mat.Min(rx) < 0 {
-		return nil, errors.New("core: FoldIn rows must be finite and nonnegative over Ω")
-	}
+	ptr[r] = len(obs)
 	if iters <= 0 {
 		iters = 100
 	}
 	k := m.Config.K
+	basis := m.basis()
 	// Every row starts from the same K uniform draws, so a row's start (and
 	// hence its whole trajectory) does not depend on its position in the
 	// batch: a coalesced fold-in answers each row exactly as a stand-alone
 	// call would.
-	rng := rand.New(rand.NewSource(m.Config.Seed + 1))
-	start := mat.RandomUniform(rng, 1, k, 1e-3, 1).Row(0)
 	u := mat.NewDense(r, k)
 	for i := 0; i < r; i++ {
-		copy(u.Row(i), start)
+		copy(u.Row(i), basis.start)
 	}
 	// Landmark warm start: rows whose SI cells are all observed are placed
 	// against the O(L) landmark model and start from a Shepard blend of their
@@ -72,18 +134,11 @@ func (m *Model) FoldIn(rows *mat.Dense, omega *mat.Mask, iters int) (*mat.Dense,
 	// start. The blend is deterministic and per-row, so single-row and
 	// batched fold-ins still agree.
 	if m.Placer != nil && m.L > 0 && m.L <= cols && m.Placer.Dim() == m.L && m.Placer.Coeff().Cols() == k {
-		si := make([]float64, m.L)
 		for i := 0; i < r; i++ {
-			seen := true
-			for j := 0; j < m.L; j++ {
-				if !omega.Observed(i, j) {
-					seen = false
-					break
-				}
-				si[j] = rows.At(i, j)
-			}
-			if seen {
-				m.Placer.WarmStart(u.Row(i), si)
+			// Columns are listed ascending, so the SI cells are all observed
+			// exactly when the row's first L entries are 0..L-1.
+			if ptr[i+1]-ptr[i] >= m.L && obs[ptr[i]+m.L-1] == int32(m.L-1) {
+				m.Placer.WarmStart(u.Row(i), rows.Row(i)[:m.L])
 			}
 		}
 	}
@@ -103,8 +158,7 @@ func (m *Model) FoldIn(rows *mat.Dense, omega *mat.Mask, iters int) (*mat.Dense,
 	// call exactly). The masked update and objective are fused — only
 	// observed dot products against Vᵀ are evaluated, never the dense u·V
 	// product.
-	vt := m.V.T() // cols×k: contiguous rows for the per-entry dot products
-	vtd := vt.Data()
+	vtd := basis.vt
 	active := make([]bool, r)
 	prev := make([]float64, r)
 	for i := range active {
@@ -124,15 +178,13 @@ func (m *Model) FoldIn(rows *mat.Dense, omega *mat.Mask, iters int) (*mat.Dense,
 				continue
 			}
 			ui := u.Row(i)
-			xi := rx.Row(i)
+			xi := rows.Row(i)
+			oi := obs[ptr[i]:ptr[i+1]]
 			for t := 0; t < k; t++ {
 				num[t], den[t] = 0, 0
 			}
-			for j := 0; j < cols; j++ {
-				if !omega.Observed(i, j) {
-					continue
-				}
-				vtj := vtd[j*k : (j+1)*k]
+			for _, j := range oi {
+				vtj := vtd[int(j)*k : int(j+1)*k]
 				// Open-coded dot (same accumulation order as mat.DotVec,
 				// which the compiler does not inline): p = (uV)_ij.
 				var p0, p1, p2, p3 float64
@@ -157,11 +209,8 @@ func (m *Model) FoldIn(rows *mat.Dense, omega *mat.Mask, iters int) (*mat.Dense,
 				ui[t] = uval * num[t] / (den[t] + eps)
 			}
 			var obj float64
-			for j := 0; j < cols; j++ {
-				if !omega.Observed(i, j) {
-					continue
-				}
-				vtj := vtd[j*k : (j+1)*k]
+			for _, j := range oi {
+				vtj := vtd[int(j)*k : int(j+1)*k]
 				var p0, p1, p2, p3 float64
 				t := 0
 				for ; t+4 <= k; t += 4 {
@@ -184,7 +233,7 @@ func (m *Model) FoldIn(rows *mat.Dense, omega *mat.Mask, iters int) (*mat.Dense,
 		}
 	}
 	for it, remaining := 0, r; it < iters && remaining > 0; it++ {
-		if ctx := m.Config.Ctx; ctx != nil {
+		if ctx != nil {
 			if err := ctx.Err(); err != nil {
 				return u, fmt.Errorf("%w after %d fold-in iterations: %w", ErrInterrupted, it, err)
 			}
@@ -205,21 +254,6 @@ func (m *Model) FoldIn(rows *mat.Dense, omega *mat.Mask, iters int) (*mat.Dense,
 	return u, nil
 }
 
-// FoldInCtx is FoldIn under an explicit context: ctx, when non-nil,
-// overrides Config.Ctx for this call only, cancelling the batch at an
-// iteration boundary with an error wrapping ErrInterrupted. The receiver is
-// not mutated (the override rides a shallow copy), so concurrent FoldInCtx
-// calls against one shared Model — the serving tier's per-batch deadlines —
-// remain safe.
-func (m *Model) FoldInCtx(ctx context.Context, rows *mat.Dense, omega *mat.Mask, iters int) (*mat.Dense, error) {
-	if ctx == nil {
-		return m.FoldIn(rows, omega, iters)
-	}
-	mc := *m
-	mc.Config.Ctx = ctx
-	return mc.FoldIn(rows, omega, iters)
-}
-
 // CompleteRows imputes out-of-sample rows with the fitted model: hidden
 // cells take the fold-in reconstruction, observed cells are kept.
 func (m *Model) CompleteRows(rows *mat.Dense, omega *mat.Mask, iters int) (*mat.Dense, error) {
@@ -231,6 +265,5 @@ func (m *Model) CompleteRows(rows *mat.Dense, omega *mat.Mask, iters int) (*mat.
 	if err != nil {
 		return nil, err
 	}
-	pred := mat.Mul(nil, u, m.V)
-	return omega.Recover(rows, pred), nil
+	return omega.RecoverInPlace(rows, mat.Mul(nil, u, m.V)), nil
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -226,19 +227,34 @@ func TestFoldInSingleRowMatchesBatchRow(t *testing.T) {
 
 // TestFoldInAllocsPerRowConstant bounds a single-row fold-in's allocations
 // well below one per iteration, so per-iteration scratch cannot creep back
-// into the sweep loop. The fixture's rows run dozens of iterations before
-// freezing.
+// into the sweep loop, and its bytes to 1 KiB, so per-call work that depends
+// only on the model (the start row's RNG, Vᵀ) stays in the cached basis.
+// The fixture's rows run dozens of iterations before freezing.
 func TestFoldInAllocsPerRowConstant(t *testing.T) {
+	if raceEnabled {
+		t.Skip("-race instrumentation allocates")
+	}
 	model, test := foldInFixture(t)
 	_, m := test.Dims()
 	row := test.Slice(0, 1, 0, m)
-	allocs := testing.AllocsPerRun(20, func() {
+	foldIn := func() {
 		if _, err := model.FoldIn(row, nil, 100); err != nil {
 			t.Fatal(err)
 		}
-	})
+	}
+	allocs := testing.AllocsPerRun(20, foldIn)
 	if allocs > 32 {
 		t.Fatalf("single-row FoldIn made %.0f allocations, want at most 32 (none per iteration)", allocs)
+	}
+	const runs = 50
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		foldIn()
+	}
+	runtime.ReadMemStats(&after)
+	if perCall := (after.TotalAlloc - before.TotalAlloc) / runs; perCall > 1024 {
+		t.Fatalf("single-row FoldIn allocated %d B per call, want at most 1 KiB", perCall)
 	}
 }
 
@@ -258,9 +274,8 @@ func TestFoldInCancellation(t *testing.T) {
 		return nil
 	})
 
-	m := *model // shallow copy; Config is a value
-	m.Config.Ctx = ctx
-	u, err := m.FoldIn(test, nil, 100)
+	model.Config.Ctx = ctx
+	u, err := model.FoldIn(test, nil, 100)
 	if !errors.Is(err, ErrInterrupted) {
 		t.Fatalf("got %v, want ErrInterrupted", err)
 	}
@@ -274,8 +289,8 @@ func TestFoldInCancellation(t *testing.T) {
 	// A pre-cancelled context stops before the first iteration.
 	done, cancel2 := context.WithCancel(context.Background())
 	cancel2()
-	m.Config.Ctx = done
-	if _, err := m.FoldIn(test, nil, 100); !errors.Is(err, ErrInterrupted) {
+	model.Config.Ctx = done
+	if _, err := model.FoldIn(test, nil, 100); !errors.Is(err, ErrInterrupted) {
 		t.Fatalf("pre-cancelled context: got %v", err)
 	}
 }
@@ -286,16 +301,14 @@ func TestFoldInCancellation(t *testing.T) {
 func TestFoldInTolConfigurable(t *testing.T) {
 	model, test := foldInFixture(t)
 
-	base := *model
-	base.Config.FoldInTol = 0 // pre-v3 file: default applies
-	uDefault, err := base.FoldIn(test, nil, 100)
+	model.Config.FoldInTol = 0 // pre-v3 file: default applies
+	uDefault, err := model.FoldIn(test, nil, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	strict := *model
-	strict.Config.FoldInTol = 1e-8 // the explicit historical value
-	uStrict, err := strict.FoldIn(test, nil, 100)
+	model.Config.FoldInTol = 1e-8 // the explicit historical value
+	uStrict, err := model.FoldIn(test, nil, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,9 +316,8 @@ func TestFoldInTolConfigurable(t *testing.T) {
 		t.Fatal("zero FoldInTol must behave exactly like the 1e-8 default")
 	}
 
-	loose := *model
-	loose.Config.FoldInTol = 0.5
-	uLoose, err := loose.FoldIn(test, nil, 100)
+	model.Config.FoldInTol = 0.5
+	uLoose, err := model.FoldIn(test, nil, 100)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -189,9 +189,10 @@ func TestFoldInWarmStartHelpsReconstruction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold := *model // FoldIn reads only V/Config/Placer, so a shallow copy is safe
-	cold.Placer = nil
-	cu, err := cold.FoldIn(rows, nil, iters)
+	placer := model.Placer
+	model.Placer = nil // the same model without its warm start
+	cu, err := model.FoldIn(rows, nil, iters)
+	model.Placer = placer
 	if err != nil {
 		t.Fatal(err)
 	}

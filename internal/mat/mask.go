@@ -180,20 +180,24 @@ func (m *Mask) Project(dst, x *Dense) *Dense {
 
 // Recover implements Formula 8 of the paper:
 // X̂ = R_Ω(x) + R_Ψ(pred) — observed entries keep x, the rest come from pred.
+// It returns a new matrix; RecoverInPlace writes X̂ over pred instead.
 func (m *Mask) Recover(x, pred *Dense) *Dense {
+	return m.RecoverInPlace(x, pred.Clone())
+}
+
+// RecoverInPlace is Recover written over pred: observed entries of pred are
+// overwritten with x's, hidden ones keep the prediction. It returns pred.
+func (m *Mask) RecoverInPlace(x, pred *Dense) *Dense {
 	if x.rows != m.rows || x.cols != m.cols || pred.rows != m.rows || pred.cols != m.cols {
 		panic("mat: Recover shape mismatch")
 	}
-	out := NewDense(m.rows, m.cols)
 	n := m.rows * m.cols
 	for k := 0; k < n; k++ {
 		if m.words[k>>6]&(1<<(uint(k)&63)) != 0 {
-			out.data[k] = x.data[k]
-		} else {
-			out.data[k] = pred.data[k]
+			pred.data[k] = x.data[k]
 		}
 	}
-	return out
+	return pred
 }
 
 // MaskedFrob2 returns ‖R_Ω(a−b)‖²_F without allocating the difference.

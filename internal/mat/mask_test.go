@@ -101,6 +101,12 @@ func TestRecoverFormula8(t *testing.T) {
 	if !EqualApprox(got, want, 0) {
 		t.Fatalf("Recover = %v", got)
 	}
+	if pred.At(0, 0) != 10 {
+		t.Fatal("Recover wrote into pred")
+	}
+	if got := m.RecoverInPlace(x, pred); got != pred || !EqualApprox(pred, want, 0) {
+		t.Fatalf("RecoverInPlace = %v, want %v written over pred", got, want)
+	}
 }
 
 func TestMaskedFrob2MatchesProjection(t *testing.T) {

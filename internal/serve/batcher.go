@@ -126,14 +126,20 @@ func (b *batcher) Submit(ctx context.Context, rows *mat.Dense, mask *mat.Mask, r
 		b.mu.RUnlock()
 		return foldResult{}, ErrClosed
 	}
+	// Count the request before it becomes visible to flush: counted after
+	// the send, flush could uncount it first, QueueAdd's clamp at zero would
+	// swallow that decrement, and the late increment would stick.
+	if b.metrics != nil {
+		b.metrics.QueueAdd(1)
+	}
 	select {
 	case b.in <- req:
 		b.mu.RUnlock()
-		if b.metrics != nil {
-			b.metrics.QueueAdd(1)
-		}
 	default:
 		b.mu.RUnlock()
+		if b.metrics != nil {
+			b.metrics.QueueAdd(-1)
+		}
 		return foldResult{}, ErrOverloaded
 	}
 	select {
@@ -231,6 +237,10 @@ func (b *batcher) flush(batch []*foldRequest) {
 		}
 		return
 	}
+	if len(live) == 1 {
+		live[0].settle(foldResult{completed: completed, coeff: u, batchRows: total}, true)
+		return
+	}
 	_, k := u.Dims()
 	_, cols := completed.Dims()
 	off := 0
@@ -288,12 +298,15 @@ func (b *batcher) compute(ctx context.Context, blocks []*mat.Dense, masks []*mat
 			return nil, nil, fmt.Errorf("serve: batch compute: %w", ferr)
 		}
 	}
-	stacked := mat.VStack(blocks...)
-	mask := mat.VStackMasks(masks...)
+	// A lone request is solved on its own rows and mask; only a coalesced
+	// batch needs them stacked.
+	stacked, mask := blocks[0], masks[0]
+	if len(blocks) > 1 {
+		stacked, mask = mat.VStack(blocks...), mat.VStackMasks(masks...)
+	}
 	u, err = b.model.FoldInCtx(ctx, stacked, mask, b.iters)
 	if err != nil {
 		return nil, nil, err
 	}
-	pred := mat.Mul(nil, u, b.model.V)
-	return mask.Recover(stacked, pred), u, nil
+	return mask.RecoverInPlace(stacked, mat.Mul(nil, u, b.model.V)), u, nil
 }

@@ -211,12 +211,106 @@ func TestBatcherIdleRequestComputedAlone(t *testing.T) {
 
 	b := newBatcher(model, Config{}.withDefaults(), nil)
 	defer b.Close()
-	res, err := b.Submit(context.Background(), x.Slice(0, 1, 0, 6), mat.FullMask(1, 6), nil)
+	rows, mask := x.Slice(0, 1, 0, 6), mat.FullMask(1, 6)
+	mask.Hide(0, 3)
+	res, err := b.Submit(context.Background(), rows, mask, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.batchRows != 1 {
 		t.Fatalf("lone request served in a batch of %d rows, want 1", res.batchRows)
+	}
+	// Solved on the request's own rows and mask: bit for bit the library
+	// answer, with the caller's rows left untouched.
+	iters := Config{}.withDefaults().FoldInIters
+	completed, err := model.CompleteRows(rows, mask, iters)
+	if err != nil {
+		t.Fatal(err)
+	}
+	coeff, err := model.FoldIn(rows, mask, iters)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct{ got, want *mat.Dense }{{res.completed, completed}, {res.coeff, coeff}, {rows, x.Slice(0, 1, 0, 6)}} {
+		for j, v := range c.want.Data() {
+			if math.Float64bits(c.got.Data()[j]) != math.Float64bits(v) {
+				t.Fatalf("entry %d = %v, want %v", j, c.got.Data()[j], v)
+			}
+		}
+	}
+}
+
+// TestBatcherQueueDepthCountedBeforeEnqueue: a request enters the
+// queue-depth gauge before flush can see it, so flush's decrement always
+// finds it counted. Counted after the send, flush could uncount it first,
+// the gauge's clamp at zero would swallow that decrement and the late
+// increment would stick ("queue depth 1 after quiesce").
+func TestBatcherQueueDepthCountedBeforeEnqueue(t *testing.T) {
+	model, x := smallModel(t)
+	metrics := NewMetrics()
+	b := newBatcher(model, Config{QueueDepth: 2}.withDefaults(), metrics)
+	defer b.Close()
+	gate := holdBatches(t)
+	defer gate.open() // before b.Close, which waits for the held batch
+	held := gate.hold(t, b, x)
+
+	// With the gauge locked, a Submit must block on counting before its
+	// request is visible to flush.
+	metrics.mu.Lock()
+	errc := make(chan error, 1)
+	go func() {
+		_, err := b.Submit(context.Background(), x.Slice(1, 2, 0, 6), mat.FullMask(1, 6), nil)
+		errc <- err
+	}()
+	for deadline := time.Now().Add(100 * time.Millisecond); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		if len(b.in) > 0 {
+			metrics.mu.Unlock()
+			t.Fatal("a request reached the queue before it was counted")
+		}
+	}
+	metrics.mu.Unlock()
+
+	// A full queue rejects with ErrOverloaded and uncounts the request.
+	for deadline := time.Now().Add(10 * time.Second); len(b.in) < 1; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the second request never queued")
+		}
+	}
+	b.in <- &foldRequest{rows: x.Slice(2, 3, 0, 6), mask: mat.FullMask(1, 6), done: make(chan foldResult, 1)}
+	metrics.QueueAdd(1) // the request queued directly
+	if _, err := b.Submit(context.Background(), x.Slice(3, 4, 0, 6), mat.FullMask(1, 6), nil); !errors.Is(err, ErrOverloaded) {
+		t.Fatalf("submit to a full queue: %v, want ErrOverloaded", err)
+	}
+	if d := metrics.QueueDepth(); d != 2 {
+		t.Fatalf("queue depth %d with two requests queued, want 2", d)
+	}
+	gate.open()
+	if err := <-held; err != nil {
+		t.Fatal(err)
+	}
+	if err := <-errc; err != nil {
+		t.Fatal(err)
+	}
+
+	// Concurrent submitters against a free-running flush: the gauge must
+	// read zero once every Submit has returned.
+	var wg sync.WaitGroup
+	for c := 0; c < 4; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				row := (c*200 + i) % x.Rows()
+				if _, err := b.Submit(context.Background(), x.Slice(row, row+1, 0, 6), mat.FullMask(1, 6), nil); err != nil && !errors.Is(err, ErrOverloaded) {
+					t.Error(err)
+					return
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+	if d := metrics.QueueDepth(); d != 0 {
+		t.Fatalf("queue depth %d after every request returned, want 0", d)
 	}
 }
 

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"math"
 	"sync"
 	"time"
 )
@@ -96,13 +97,16 @@ func (c HealthConfig) withDefaults() HealthConfig {
 	return c
 }
 
-// outcome is one real-path request result: failed fold-ins, recovered
-// panics, and deadline expiries count as failures; successes carry their
-// batch latency for the p95 trip condition.
-type outcome struct {
-	ok  bool
-	lat float64 // seconds, successes only
-}
+// outcome classifies one real-path request result for the breaker window:
+// failed fold-ins, recovered panics and deadline expiries are failures;
+// successes are fast or slow against LatencyP95.
+type outcome uint8
+
+const (
+	outcomeFast outcome = iota // success within LatencyP95
+	outcomeSlow                // success slower than LatencyP95
+	outcomeFail
+)
 
 // Health is the healthy → degraded → draining state machine, driven by a
 // circuit breaker over the fold-in failure rate and success-latency p95 of a
@@ -119,6 +123,8 @@ type Health struct {
 	ring      []outcome // last WindowSize real-path outcomes (healthy state only)
 	next      int       // ring write cursor
 	filled    int       // outcomes recorded, capped at WindowSize
+	fails     int       // outcomeFail entries among the filled ones
+	slow      int       // outcomeSlow entries among the filled ones
 	trips     uint64    // breaker trips (healthy → degraded transitions)
 	lastProbe time.Time
 	probing   bool // a RouteProbe is in flight
@@ -220,18 +226,24 @@ func (h *Health) Report(ok bool, latency time.Duration, probe bool) {
 		// they must not perturb the half-open bookkeeping.
 		return
 	}
-	o := outcome{ok: ok}
-	if ok {
-		o.lat = latency.Seconds()
+	o := outcomeFast
+	switch {
+	case !ok:
+		o = outcomeFail
+	case latency.Seconds() > h.cfg.LatencyP95.Seconds():
+		o = outcomeSlow
 	}
 	if len(h.ring) == 0 {
 		h.ring = make([]outcome, h.cfg.WindowSize)
 	}
-	h.ring[h.next] = o
-	h.next = (h.next + 1) % h.cfg.WindowSize
-	if h.filled < h.cfg.WindowSize {
+	if h.filled == h.cfg.WindowSize {
+		h.count(h.ring[h.next], -1) // the oldest outcome leaves the window
+	} else {
 		h.filled++
 	}
+	h.ring[h.next] = o
+	h.count(o, 1)
+	h.next = (h.next + 1) % h.cfg.WindowSize
 	if h.tripLocked() {
 		h.state = Degraded
 		h.trips++
@@ -256,26 +268,36 @@ func (h *Health) Abort(probe bool) {
 }
 
 func (h *Health) resetRingLocked() {
-	h.next, h.filled = 0, 0
+	h.next, h.filled, h.fails, h.slow = 0, 0, 0, 0
+}
+
+// count adds delta to the running count o belongs to.
+func (h *Health) count(o outcome, delta int) {
+	switch o {
+	case outcomeFail:
+		h.fails += delta
+	case outcomeSlow:
+		h.slow += delta
+	}
 }
 
 // tripLocked evaluates the breaker over the current window: enough samples
-// and either the failure rate or the success-latency p95 over threshold.
+// and either the failure rate or the success-latency p95 over threshold. It
+// reads only the running counts. The p95 test is quantile's nearest rank
+// without the sort: with n successes, the one at ascending rank
+// idx = ⌈0.95·n⌉−1 exceeds LatencyP95 exactly when the n−idx slowest all do,
+// that is when at least n−idx successes are slow.
 func (h *Health) tripLocked() bool {
 	if h.filled < h.cfg.MinSamples {
 		return false
 	}
-	fails := 0
-	lats := make([]float64, 0, h.filled)
-	for i := 0; i < h.filled; i++ {
-		if h.ring[i].ok {
-			lats = append(lats, h.ring[i].lat)
-		} else {
-			fails++
-		}
-	}
-	if float64(fails)/float64(h.filled) >= h.cfg.FailureRate {
+	if float64(h.fails)/float64(h.filled) >= h.cfg.FailureRate {
 		return true
 	}
-	return len(lats) > 0 && quantile(lats, 0.95) > h.cfg.LatencyP95.Seconds()
+	n := h.filled - h.fails
+	if n == 0 {
+		return false
+	}
+	idx := int(math.Ceil(0.95*float64(n))) - 1
+	return h.slow >= n-idx
 }
