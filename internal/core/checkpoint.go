@@ -11,9 +11,7 @@ import (
 	"math"
 	"os"
 
-	"github.com/spatialmf/smfl/internal/landmark"
 	"github.com/spatialmf/smfl/internal/mat"
-	"github.com/spatialmf/smfl/internal/spatial"
 )
 
 // Checkpoint format: a gob container wrapping the standard .smfl model
@@ -28,10 +26,11 @@ import (
 // previous checkpoint or the new one, never a torn file.
 
 // ckptMagic/ckptVersion identify the checkpoint container. Bump the version
-// only for incompatible layouts; gob tolerates appended fields.
+// for incompatible layouts or hashes; gob tolerates appended fields.
+// Version 2 hashes resident data as R_Ω(X), so version 1 files are refused.
 const (
 	ckptMagic   = "SMFL-CKPT"
-	ckptVersion = 1
+	ckptVersion = 2
 )
 
 type checkpointWire struct {
@@ -192,53 +191,23 @@ type ResumeOptions struct {
 
 // ResumeFit continues an interrupted Fit from the checkpoint at path,
 // producing a trajectory bit-identical to the uninterrupted run: x and omega
-// must be the exact training inputs (verified against the checkpoint's
-// hash), the spatial graph is rebuilt deterministically from them, and the
-// factors, objective history, and watchdog RNG state are restored from the
-// checkpoint. A checkpoint of a converged (or iteration-capped) run returns
-// immediately unless opts raises MaxIter.
+// must be the exact training inputs over Ω (verified against the
+// checkpoint's hash; hidden cells of x are never read), the spatial graph is
+// rebuilt deterministically from them, and the factors, objective history,
+// and watchdog RNG state are restored from the checkpoint. A checkpoint of a
+// converged (or iteration-capped) run returns immediately unless opts raises
+// MaxIter. ResumeFit checks its inputs as Fit does and resumes through
+// ResumeFitSource.
 func ResumeFit(path string, x *mat.Dense, omega *mat.Mask, opts *ResumeOptions) (*Model, error) {
-	ck, err := LoadCheckpoint(path)
+	var weights *mat.Dense
+	if opts != nil {
+		weights = opts.Weights
+	}
+	src, err := newDenseSource(x, omega, weights)
 	if err != nil {
 		return nil, err
 	}
-	model := ck.Model
-	cfg := resumeConfig(model, path, opts)
-
-	n, m := x.Dims()
-	if un, _ := model.U.Dims(); un != n {
-		return nil, fmt.Errorf("core: resume: checkpoint has %d rows, data has %d", un, n)
-	}
-	if _, vm := model.V.Dims(); vm != m {
-		return nil, fmt.Errorf("core: resume: checkpoint has %d columns, data has %d", vm, m)
-	}
-	if omega == nil {
-		omega = mat.FullMask(n, m)
-	}
-	if or, oc := omega.Dims(); or != n || oc != m {
-		return nil, fmt.Errorf("core: resume: mask shape %dx%d vs data %dx%d", or, oc, n, m)
-	}
-	if h := fitHash(x, omega, model.Method, model.L, cfg); h != ck.Hash {
-		return nil, fmt.Errorf("core: checkpoint %s was written for different data, weights or configuration", path)
-	}
-
-	model.Partial = false
-	if model.Converged || model.Iters >= cfg.MaxIter {
-		return model, nil
-	}
-
-	rx := omega.Project(nil, x)
-	var graph *spatial.Graph
-	var ix *landmark.Index
-	if model.Method != NMF {
-		si := siFilled(x, omega, model.L)
-		if graph, ix, err = buildSpatial(si, model.Method, cfg); err != nil {
-			return nil, err
-		}
-	}
-	tr := resumedTrainer(ck, model.Method, cfg)
-	tr.begin(model)
-	return runFit(model, tr, x, rx, omega, graph, ix)
+	return ResumeFitSource(path, src, opts)
 }
 
 // resumeConfig overlays the runtime-only ResumeOptions onto the
@@ -279,12 +248,12 @@ func resumedTrainer(ck *Checkpoint, method Method, cfg Config) *trainer {
 	return tr
 }
 
-// fitHash binds a checkpoint to its training run: FNV-1a over the data
-// matrix, the observation mask, the confidence weights, and every
+// fitHash binds a checkpoint to its training run: FNV-1a over the source's
+// ContentHash (R_Ω(X) and Ω), the confidence weights, and every
 // configuration field that shapes the optimization trajectory. Runtime-only
 // fields (Ctx, checkpoint/watchdog knobs) and MaxIter (legitimately raised on
 // resume) are excluded.
-func fitHash(x *mat.Dense, omega *mat.Mask, method Method, l int, cfg Config) uint64 {
+func fitHash(src DataSource, method Method, l int, cfg Config) uint64 {
 	h := fnv.New64a()
 	var buf [8]byte
 	w64 := func(v uint64) {
@@ -296,29 +265,16 @@ func fitHash(x *mat.Dense, omega *mat.Mask, method Method, l int, cfg Config) ui
 
 	wi(int64(method))
 	wi(int64(l))
-	n, m := x.Dims()
+	n, m := src.Dims()
 	wi(int64(n))
 	wi(int64(m))
-	for _, v := range x.Data() {
-		wf(v)
-	}
-	if b, err := omega.MarshalBinary(); err == nil {
-		h.Write(b)
-	}
+	w64(src.ContentHash())
 	if cfg.Weights != nil {
 		wi(1)
 		for _, v := range cfg.Weights.Data() {
 			wf(v)
 		}
 	}
-	hashTrajectoryConfig(wi, wf, cfg)
-	return h.Sum64()
-}
-
-// hashTrajectoryConfig feeds every Config field that shapes the optimization
-// trajectory into a hash, in a fixed order shared by the dense fitHash and
-// the store-backed sourceFitHash (so the two stay in sync by construction).
-func hashTrajectoryConfig(wi func(int64), wf func(float64), cfg Config) {
 	wi(int64(cfg.K))
 	wf(cfg.Lambda)
 	wi(int64(cfg.P))
@@ -332,6 +288,6 @@ func hashTrajectoryConfig(wi func(int64), wf func(float64), cfg Config) {
 	wi(int64(cfg.BatchCells))
 	wi(int64(cfg.AnchorEvery))
 	wi(int64(cfg.LandmarkSource))
-	wi(int64(cfg.GraphMode))
 	wi(int64(cfg.SpatialIndex))
+	return h.Sum64()
 }

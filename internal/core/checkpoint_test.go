@@ -1,11 +1,14 @@
 package core
 
 import (
+	"bytes"
 	"context"
+	"encoding/gob"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"github.com/spatialmf/smfl/internal/faultinject"
@@ -241,6 +244,32 @@ func TestResumeRejectsMismatchedRun(t *testing.T) {
 	if _, err := ResumeFit(ckpt, x.Slice(0, 50, 0, 6), nil, nil); err == nil {
 		t.Fatal("resume accepted a differently-shaped matrix")
 	}
+
+	// The hash binds R_Ω(X), the data the fit reads (as the store's
+	// zero-filled shards do): a change confined to a hidden cell resumes,
+	// the same change in an observed cell is refused.
+	for _, observed := range []bool{false, true} {
+		x3 := x.Clone()
+		n, m := x.Dims()
+		changed := false
+		for c := 0; c < n*m && !changed; c++ {
+			if i, j := c/m, c%m; omega.Observed(i, j) == observed {
+				x3.Set(i, j, x3.At(i, j)+0.25)
+				changed = true
+			}
+		}
+		if !changed {
+			t.Fatalf("test problem has no cell with observed=%v", observed)
+		}
+		opts := &ResumeOptions{MaxIter: 20, CheckpointPath: filepath.Join(t.TempDir(), "resumed.ckpt")}
+		_, err := ResumeFit(ckpt, x3, omega, opts)
+		if observed && err == nil {
+			t.Fatal("resume accepted a change in an observed cell")
+		}
+		if !observed && err != nil {
+			t.Fatalf("resume refused a change confined to a hidden cell: %v", err)
+		}
+	}
 }
 
 // TestLoadCheckpointRejectsHostileFiles mirrors the model-file validation:
@@ -281,6 +310,27 @@ func TestLoadCheckpointRejectsHostileFiles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+
+	// A checkpoint of the previous format version: its hash was computed
+	// differently, so it must be refused by name, not misread.
+	var wire checkpointWire
+	if err := gob.NewDecoder(bytes.NewReader(raw)).Decode(&wire); err != nil {
+		t.Fatal(err)
+	}
+	wire.Version = ckptVersion - 1
+	var old bytes.Buffer
+	if err := gob.NewEncoder(&old).Encode(&wire); err != nil {
+		t.Fatal(err)
+	}
+	oldPath := filepath.Join(dir, "old.ckpt")
+	if err := os.WriteFile(oldPath, old.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err = LoadCheckpoint(oldPath)
+	if want := fmt.Sprintf("version %d", ckptVersion-1); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("old checkpoint: got %v, want an error naming %q", err, want)
+	}
+
 	if err := os.WriteFile(ckpt, raw[:len(raw)/2], 0o644); err != nil {
 		t.Fatal(err)
 	}

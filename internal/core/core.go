@@ -24,7 +24,6 @@ import (
 
 	"github.com/spatialmf/smfl/internal/landmark"
 	"github.com/spatialmf/smfl/internal/mat"
-	"github.com/spatialmf/smfl/internal/spatial"
 )
 
 // ErrInterrupted tags the error returned when Config.Ctx cancels a running
@@ -158,8 +157,7 @@ type SpatialIndex int
 
 const (
 	// SpatialExact computes exact p-NN lists over all N rows with the
-	// backend picked by Config.GraphMode (KD-tree, or the quadratic
-	// Proposition-1 scan). The default.
+	// KD-tree backend. The default.
 	SpatialExact SpatialIndex = iota
 	// SpatialLandmark routes graph construction through the sub-quadratic
 	// landmark-bucket index (internal/landmark): ⌈√N⌉ landmark rows bucket
@@ -217,11 +215,10 @@ type Config struct {
 	// committed epochs (default 2).
 	AnchorEvery    int
 	LandmarkSource LandmarkSource
-	GraphMode      spatial.BuildMode // exact backend: KD-tree by default
 	// SpatialIndex picks the spatial backend (exact by default). With
-	// SpatialLandmark, GraphMode is ignored, SMFL reuses the index's
-	// landmark selection for C (when LandmarkSource is KMeansCenters), and
-	// the fitted model gains a Placer for O(L) fold-in placement.
+	// SpatialLandmark, SMFL reuses the index's landmark selection for C
+	// (when LandmarkSource is KMeansCenters), and the fitted model gains a
+	// Placer for O(L) fold-in placement.
 	SpatialIndex SpatialIndex
 
 	// FoldInTol is the per-row relative objective-change tolerance that

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -20,73 +19,14 @@ import (
 // The SMFL pipeline follows Algorithm 1: build D and W from SI (filling
 // missing SI cells with column means for graph purposes only, Section II-C),
 // run K-means on SI for the landmark matrix C, inject C into V, then iterate
-// the multiplicative rules until convergence.
+// the multiplicative rules until convergence. Fit checks its inputs,
+// projects them once to R_Ω(X), and runs that pipeline through FitSource.
 func Fit(x *mat.Dense, omega *mat.Mask, l int, method Method, cfg Config) (*Model, error) {
-	n, m := x.Dims()
-	if n == 0 || m == 0 {
-		return nil, errors.New("core: empty input matrix")
-	}
-	if omega == nil {
-		omega = mat.FullMask(n, m)
-	}
-	if or, oc := omega.Dims(); or != n || oc != m {
-		return nil, fmt.Errorf("core: mask shape %dx%d vs data %dx%d", or, oc, n, m)
-	}
-	cfg = cfg.withDefaults()
-	if err := cfg.validate(n, m, l, method); err != nil {
-		return nil, err
-	}
-	rx := omega.Project(nil, x)
-	if !rx.IsFinite() {
-		return nil, errors.New("core: observed entries contain NaN or Inf")
-	}
-	if mat.Min(rx) < 0 {
-		return nil, errors.New("core: observed entries must be nonnegative (min-max normalize first)")
-	}
-	if w := cfg.Weights; w != nil {
-		if wr, wc := w.Dims(); wr != n || wc != m {
-			return nil, fmt.Errorf("core: weights shape %dx%d vs data %dx%d", wr, wc, n, m)
-		}
-		if !w.IsFinite() || mat.Min(w) < 0 {
-			return nil, errors.New("core: weights must be finite and nonnegative")
-		}
-	}
-
-	// Spatial structure (SMF and SMFL only).
-	var graph *spatial.Graph
-	var ix *landmark.Index
-	var si *mat.Dense
-	if method != NMF {
-		si = siFilled(x, omega, l)
-		var err error
-		graph, ix, err = buildSpatial(si, method, cfg)
-		if err != nil {
-			return nil, err
-		}
-	}
-
-	// Landmarks (SMFL only). Under the landmark index with the paper's
-	// K-means source, C comes from weighted K-means over the index's
-	// landmark coreset (landmark coordinates weighted by bucket population)
-	// instead of a second full pass over N — one landmark set serves both
-	// the spatial index and the landmark columns of V.
-	c, err := landmarksFor(si, ix, method, cfg)
+	src, err := newDenseSource(x, omega, cfg.Weights)
 	if err != nil {
 		return nil, err
 	}
-
-	model := &Model{Method: method, Config: cfg, L: l, C: c}
-	initFactors(model, n, m)
-	if c != nil {
-		injectLandmarks(model.V, c)
-	}
-
-	tr := newTrainer(method, cfg)
-	if tr.ckptPath != "" {
-		tr.hash = fitHash(x, omega, method, l, cfg)
-	}
-	tr.begin(model)
-	return runFit(model, tr, x, rx, omega, graph, ix)
+	return FitSource(src, l, method, cfg)
 }
 
 // landmarksFor generates the landmark matrix C (SMFL only; nil otherwise),
@@ -102,7 +42,7 @@ func landmarksFor(si *mat.Dense, ix *landmark.Index, method Method, cfg Config) 
 }
 
 // buildSpatial constructs the p-NN graph over si behind the SpatialIndex
-// seam. Exact mode delegates to spatial.BuildGraph under cfg.GraphMode;
+// seam. Exact mode delegates to spatial.BuildGraph's KD-tree backend;
 // landmark mode builds the sub-quadratic landmark-bucket index and derives
 // the graph from it. The returned index is nil in exact mode; callers use it
 // to reuse the landmark selection for C and to attach a Placer to the fitted
@@ -110,7 +50,7 @@ func landmarksFor(si *mat.Dense, ix *landmark.Index, method Method, cfg Config) 
 func buildSpatial(si *mat.Dense, method Method, cfg Config) (*spatial.Graph, *landmark.Index, error) {
 	switch cfg.SpatialIndex {
 	case SpatialExact:
-		g, err := spatial.BuildGraph(si, cfg.P, cfg.GraphMode)
+		g, err := spatial.BuildGraph(si, cfg.P, spatial.KDTreeMode)
 		return g, nil, err
 	case SpatialLandmark:
 		lcfg := landmark.Config{Seed: cfg.Seed}
@@ -131,20 +71,24 @@ func buildSpatial(si *mat.Dense, method Method, cfg Config) (*spatial.Graph, *la
 	return nil, nil, fmt.Errorf("core: unknown spatial index %d", cfg.SpatialIndex)
 }
 
-// runFit dispatches to the configured updater. On interruption, divergence
-// exhaustion, or an injected fault it returns the best-so-far model (tagged
-// Partial) together with the classified error, so a cancelled run never
-// vanishes. A successful fit run under the landmark index also captures the
-// O(L) Placer from the trained coefficients.
-func runFit(model *Model, tr *trainer, x, rx *mat.Dense, omega *mat.Mask, graph *spatial.Graph, ix *landmark.Index) (*Model, error) {
+// runFit dispatches to the configured updater: the full-sweep updaters run
+// on the resident pair of a denseSource (callers refuse other sources via
+// sweepable), the stochastic ones on any source. On interruption,
+// divergence exhaustion, or an injected fault it returns the best-so-far
+// model (tagged Partial) together with the classified error, so a cancelled
+// run never vanishes. A successful fit run under the landmark index also
+// captures the O(L) Placer from the trained coefficients.
+func runFit(model *Model, tr *trainer, src DataSource, graph *spatial.Graph, ix *landmark.Index) (*Model, error) {
 	var err error
 	switch model.Config.Updater {
 	case Multiplicative:
-		err = runMultiplicative(model, rx, omega, graph, tr)
+		d := src.(*denseSource)
+		err = runMultiplicative(model, d.rx, d.omega, graph, tr)
 	case GradientDescent:
-		err = runGradientDescent(model, rx, omega, graph, tr)
+		d := src.(*denseSource)
+		err = runGradientDescent(model, d.rx, d.omega, graph, tr)
 	case SGD, SVRG:
-		err = runStochastic(model, mat.NewDenseSource(x, omega), graph, tr)
+		err = runStochastic(model, src, graph, tr)
 	default:
 		return nil, fmt.Errorf("core: unknown updater %d", model.Config.Updater)
 	}
@@ -164,25 +108,36 @@ func runFit(model *Model, tr *trainer, x, rx *mat.Dense, omega *mat.Mask, graph 
 
 // siFilled copies the SI block and replaces hidden cells with column means,
 // used only for D construction and K-means (the values themselves are still
-// imputed by the factorization, per Section II-C).
-func siFilled(x *mat.Dense, omega *mat.Mask, l int) *mat.Dense {
-	n, _ := x.Dims()
-	si := x.Slice(0, n, 0, l)
-	for j := 0; j < l; j++ {
-		var sum float64
-		var cnt int
-		for i := 0; i < n; i++ {
-			if omega.Observed(i, j) {
-				sum += si.At(i, j)
-				cnt++
+// imputed by the factorization, per Section II-C). It streams the source
+// once; per-column sums accumulate in ascending row order, so every backend
+// holding the same data yields a bit-identical block.
+func siFilled(src mat.RowSource, l int) *mat.Dense {
+	n, _ := src.Dims()
+	si := mat.NewDense(n, l)
+	sums := make([]float64, l)
+	cnts := make([]int, l)
+	observed := make([]bool, n*l)
+	rd := src.Reader()
+	for i := 0; i < n; i++ {
+		xi, cols := rd.Row(i)
+		copy(si.Row(i), xi[:l])
+		for _, j := range cols {
+			if int(j) >= l {
+				break // cols is sorted; the SI prefix is done
 			}
+			observed[i*l+int(j)] = true
+			sums[j] += xi[j]
+			cnts[j]++
 		}
+	}
+	rd.Release()
+	for j := 0; j < l; j++ {
 		mean := 0.0
-		if cnt > 0 {
-			mean = sum / float64(cnt)
+		if cnts[j] > 0 {
+			mean = sums[j] / float64(cnts[j])
 		}
 		for i := 0; i < n; i++ {
-			if !omega.Observed(i, j) {
+			if !observed[i*l+j] {
 				si.Set(i, j, mean)
 			}
 		}

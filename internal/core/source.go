@@ -12,25 +12,86 @@ import (
 	"github.com/spatialmf/smfl/internal/spatial"
 )
 
-// DataSource is what a fit needs from out-of-core storage: row-wise access
-// to (X, Ω) through the mat.RowSource seam plus a stable content
-// fingerprint for checkpoint binding. *store.Store implements it; core
+// DataSource is what a fit needs from its training data: row-wise access to
+// (X, Ω) through the mat.RowSource seam plus a stable content fingerprint
+// for checkpoint binding. *store.Store implements it for out-of-core data;
+// Fit and ResumeFit wrap their resident inputs in one (denseSource). core
 // deliberately depends only on this interface, never on the store package.
 type DataSource interface {
 	mat.RowSource
-	// ContentHash is a stable fingerprint of the stored data and mask.
-	// Checkpoints written by FitSource embed it (via sourceFitHash), so
-	// ResumeFitSource refuses a source whose contents changed.
+	// ContentHash is a stable fingerprint of the observed data R_Ω(X) and
+	// the mask Ω. Checkpoints embed it (via fitHash), so resume refuses a
+	// source whose contents changed.
 	ContentHash() uint64
 }
 
-// FitSource is Fit over an out-of-core DataSource instead of a resident
-// (x, omega) pair. Only the stochastic updaters (SGD, SVRG) are supported:
-// they are the ones whose kernels read rows through the RowSource seam; the
-// full-sweep multiplicative and gradient-descent updaters need resident
-// N×M intermediates and should fit from memory. Given identical data, a
-// FitSource trajectory is Float64bits-identical to the Fit trajectory —
-// same seed, same chunk partition, same arithmetic order.
+// denseSource is the resident (R_Ω(X), Ω) pair behind Fit and ResumeFit.
+// Hidden cells read 0, exactly as they do in a shard of the store, and the
+// full-sweep updaters find the pair by a type check (sweepable).
+type denseSource struct {
+	*mat.DenseSource
+	rx    *mat.Dense
+	omega *mat.Mask
+}
+
+// newDenseSource checks a resident fit input — shapes, finite and
+// nonnegative observed entries, finite nonnegative weights — and projects
+// it once to R_Ω(X). A nil omega means fully observed.
+func newDenseSource(x *mat.Dense, omega *mat.Mask, weights *mat.Dense) (*denseSource, error) {
+	n, m := x.Dims()
+	if omega == nil {
+		omega = mat.FullMask(n, m)
+	}
+	if or, oc := omega.Dims(); or != n || oc != m {
+		return nil, fmt.Errorf("core: mask shape %dx%d vs data %dx%d", or, oc, n, m)
+	}
+	rx := omega.Project(nil, x)
+	if !rx.IsFinite() {
+		return nil, errors.New("core: observed entries contain NaN or Inf")
+	}
+	if mat.Min(rx) < 0 {
+		return nil, errors.New("core: observed entries must be nonnegative (min-max normalize first)")
+	}
+	if weights != nil {
+		if wr, wc := weights.Dims(); wr != n || wc != m {
+			return nil, fmt.Errorf("core: weights shape %dx%d vs data %dx%d", wr, wc, n, m)
+		}
+		if !weights.IsFinite() || mat.Min(weights) < 0 {
+			return nil, errors.New("core: weights must be finite and nonnegative")
+		}
+	}
+	return &denseSource{DenseSource: mat.NewDenseSource(rx, omega), rx: rx, omega: omega}, nil
+}
+
+// ContentHash implements DataSource: FNV-1a over a tag, R_Ω(X) and Ω.
+func (s *denseSource) ContentHash() uint64 {
+	h := fnv.New64a()
+	h.Write([]byte("SMFL-DENSE"))
+	var buf [8]byte
+	for _, v := range s.rx.Data() {
+		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
+		h.Write(buf[:])
+	}
+	if b, err := s.omega.MarshalBinary(); err == nil {
+		h.Write(b)
+	}
+	return h.Sum64()
+}
+
+// sweepable reports whether updater u can train on src: the full-sweep
+// updaters need the resident pair only a denseSource holds.
+func sweepable(src DataSource, u Updater) bool {
+	_, resident := src.(*denseSource)
+	return resident || u.Stochastic()
+}
+
+// FitSource is Fit over any DataSource; Fit itself is this pipeline over
+// its validated resident inputs. An out-of-core source supports only the
+// stochastic updaters (SGD, SVRG): the full-sweep multiplicative and
+// gradient-descent updaters need resident N×M intermediates and should fit
+// from memory. Given identical data, a store-backed trajectory is
+// Float64bits-identical to the Fit trajectory — same seed, same chunk
+// partition, same arithmetic order.
 //
 // Input validation (finite, nonnegative observed entries) happened when the
 // store was written and is re-verified shard-by-shard at store.Open, so the
@@ -45,21 +106,28 @@ func FitSource(src DataSource, l int, method Method, cfg Config) (*Model, error)
 	if err := cfg.validate(n, m, l, method); err != nil {
 		return nil, err
 	}
-	if !cfg.Updater.Stochastic() {
+	if !sweepable(src, cfg.Updater) {
 		return nil, fmt.Errorf("core: source-backed fits support the stochastic updaters only (sgd, svrg), got %s — fit from memory for %s", cfg.Updater, cfg.Updater)
 	}
 
+	// Spatial structure (SMF and SMFL only).
 	var graph *spatial.Graph
 	var ix *landmark.Index
 	var si *mat.Dense
 	if method != NMF {
-		si = siFilledSource(src, l)
+		si = siFilled(src, l)
 		var err error
 		graph, ix, err = buildSpatial(si, method, cfg)
 		if err != nil {
 			return nil, err
 		}
 	}
+
+	// Landmarks (SMFL only). Under the landmark index with the paper's
+	// K-means source, C comes from weighted K-means over the index's
+	// landmark coreset (landmark coordinates weighted by bucket population)
+	// instead of a second full pass over N — one landmark set serves both
+	// the spatial index and the landmark columns of V.
 	c, err := landmarksFor(si, ix, method, cfg)
 	if err != nil {
 		return nil, err
@@ -73,16 +141,16 @@ func FitSource(src DataSource, l int, method Method, cfg Config) (*Model, error)
 
 	tr := newTrainer(method, cfg)
 	if tr.ckptPath != "" {
-		tr.hash = sourceFitHash(src, method, l, cfg)
+		tr.hash = fitHash(src, method, l, cfg)
 	}
 	tr.begin(model)
-	return finishStochastic(model, tr, src, graph, ix)
+	return runFit(model, tr, src, graph, ix)
 }
 
-// ResumeFitSource continues a checkpointed FitSource run, with the same
-// bit-identical-trajectory contract as ResumeFit: src must be the exact
-// training source (verified against the checkpoint's source hash — a
-// checkpoint written by a dense Fit is refused, and vice versa).
+// ResumeFitSource continues a checkpointed fit over src, with the
+// bit-identical-trajectory contract of ResumeFit: src must hold the exact
+// training data (verified against the checkpoint's hash). A checkpoint of a
+// full-sweep fit is refused for an out-of-core source before any hashing.
 func ResumeFitSource(path string, src DataSource, opts *ResumeOptions) (*Model, error) {
 	ck, err := LoadCheckpoint(path)
 	if err != nil {
@@ -90,19 +158,19 @@ func ResumeFitSource(path string, src DataSource, opts *ResumeOptions) (*Model, 
 	}
 	model := ck.Model
 	cfg := resumeConfig(model, path, opts)
-	if !cfg.Updater.Stochastic() {
+	if !sweepable(src, cfg.Updater) {
 		return nil, fmt.Errorf("core: checkpoint %s was written by a %s fit; source-backed resume supports sgd/svrg only", path, cfg.Updater)
 	}
 
 	n, m := src.Dims()
 	if un, _ := model.U.Dims(); un != n {
-		return nil, fmt.Errorf("core: resume: checkpoint has %d rows, source has %d", un, n)
+		return nil, fmt.Errorf("core: resume: checkpoint has %d rows, data has %d", un, n)
 	}
 	if _, vm := model.V.Dims(); vm != m {
-		return nil, fmt.Errorf("core: resume: checkpoint has %d columns, source has %d", vm, m)
+		return nil, fmt.Errorf("core: resume: checkpoint has %d columns, data has %d", vm, m)
 	}
-	if h := sourceFitHash(src, model.Method, model.L, cfg); h != ck.Hash {
-		return nil, fmt.Errorf("core: checkpoint %s was written for different data or configuration (or by an in-memory fit)", path)
+	if h := fitHash(src, model.Method, model.L, cfg); h != ck.Hash {
+		return nil, fmt.Errorf("core: checkpoint %s was written for different data, weights or configuration", path)
 	}
 
 	model.Partial = false
@@ -113,90 +181,12 @@ func ResumeFitSource(path string, src DataSource, opts *ResumeOptions) (*Model, 
 	var graph *spatial.Graph
 	var ix *landmark.Index
 	if model.Method != NMF {
-		si := siFilledSource(src, model.L)
+		si := siFilled(src, model.L)
 		if graph, ix, err = buildSpatial(si, model.Method, cfg); err != nil {
 			return nil, err
 		}
 	}
 	tr := resumedTrainer(ck, model.Method, cfg)
 	tr.begin(model)
-	return finishStochastic(model, tr, src, graph, ix)
-}
-
-// finishStochastic runs the stochastic loop over src and attaches the
-// landmark placer on success — the source-backed tail of runFit.
-func finishStochastic(model *Model, tr *trainer, src mat.RowSource, graph *spatial.Graph, ix *landmark.Index) (*Model, error) {
-	if err := runStochastic(model, src, graph, tr); err != nil {
-		return model, err
-	}
-	if ix != nil {
-		if p, perr := ix.NewPlacer(model.U); perr == nil {
-			model.Placer = p
-		}
-	}
-	return model, nil
-}
-
-// siFilledSource builds the mean-filled SI block (see siFilled) from one
-// streaming pass over the source. Per-column sums accumulate in the same
-// ascending-row order as the dense path, so the resulting block — and every
-// spatial structure derived from it — is bit-identical to siFilled's.
-func siFilledSource(src mat.RowSource, l int) *mat.Dense {
-	n, _ := src.Dims()
-	si := mat.NewDense(n, l)
-	sums := make([]float64, l)
-	cnts := make([]int, l)
-	observed := make([]bool, n*l)
-	rd := src.Reader()
-	for i := 0; i < n; i++ {
-		xi, cols := rd.Row(i)
-		copy(si.Row(i), xi[:l])
-		for _, j := range cols {
-			if int(j) >= l {
-				break // cols is sorted; the SI prefix is done
-			}
-			observed[i*l+int(j)] = true
-			sums[j] += xi[j]
-			cnts[j]++
-		}
-	}
-	rd.Release()
-	for j := 0; j < l; j++ {
-		mean := 0.0
-		if cnts[j] > 0 {
-			mean = sums[j] / float64(cnts[j])
-		}
-		for i := 0; i < n; i++ {
-			if !observed[i*l+j] {
-				si.Set(i, j, mean)
-			}
-		}
-	}
-	return si
-}
-
-// sourceFitHash is fitHash for source-backed fits: instead of streaming the
-// full data matrix and mask (which would defeat out-of-core operation), it
-// folds in the source's ContentHash. The leading marker keeps the dense and
-// source hash streams disjoint, so a checkpoint can never be resumed against
-// the wrong storage backend by accident.
-func sourceFitHash(src DataSource, method Method, l int, cfg Config) uint64 {
-	h := fnv.New64a()
-	var buf [8]byte
-	w64 := func(v uint64) {
-		binary.LittleEndian.PutUint64(buf[:], v)
-		h.Write(buf[:])
-	}
-	wf := func(v float64) { w64(math.Float64bits(v)) }
-	wi := func(v int64) { w64(uint64(v)) }
-
-	h.Write([]byte("SMFL-SRC"))
-	wi(int64(method))
-	wi(int64(l))
-	n, m := src.Dims()
-	wi(int64(n))
-	wi(int64(m))
-	w64(src.ContentHash())
-	hashTrajectoryConfig(wi, wf, cfg)
-	return h.Sum64()
+	return runFit(model, tr, src, graph, ix)
 }

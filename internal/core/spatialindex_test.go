@@ -217,9 +217,13 @@ func TestFoldInWarmStartHelpsReconstruction(t *testing.T) {
 func TestFitHashSeparatesSpatialIndex(t *testing.T) {
 	x, omega, l := testProblem(t, 90, 13)
 	cfg := quickCfg(4).withDefaults()
-	h1 := fitHash(x, omega, SMFL, l, cfg)
+	src, err := newDenseSource(x, omega, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h1 := fitHash(src, SMFL, l, cfg)
 	cfg.SpatialIndex = SpatialLandmark
-	h2 := fitHash(x, omega, SMFL, l, cfg)
+	h2 := fitHash(src, SMFL, l, cfg)
 	if h1 == h2 {
 		t.Fatal("fitHash must distinguish spatial index modes: a checkpoint's graph depends on it")
 	}

@@ -28,11 +28,11 @@ import (
 // retries the same epoch.
 //
 // Storage: the loop reads X and Ω only through the mat.RowSource seam, so it
-// runs unchanged over the resident dense pair (mat.NewDenseSource) and the
-// out-of-core shard store (internal/store). U, V, and the SVRG anchor stay
-// resident — they are O((N+M)·K), two orders below the O(N·M) data at the
-// benchmark shapes, and the watchdog/checkpoint machinery snapshots them
-// wholesale — while the O(N·M) row data streams through bounded shard pins.
+// runs unchanged over Fit's resident pair (denseSource) and the out-of-core
+// shard store (internal/store). U, V, and the SVRG anchor stay resident —
+// they are O((N+M)·K), two orders below the O(N·M) data at the benchmark
+// shapes, and the watchdog/checkpoint machinery snapshots them wholesale —
+// while the O(N·M) row data streams through bounded shard pins.
 //
 // SVRG stores only the anchor factors and the anchor's K×M full V-gradient.
 // The usual N×K anchor U-gradient correction is omitted because it cancels
@@ -86,7 +86,7 @@ func runStochastic(model *Model, src mat.RowSource, graph *spatial.Graph, tr *tr
 				tr.anchorU.CopyFrom(u)
 				tr.anchorV.CopyFrom(v)
 			}
-			mat.VGradObservedSource(src, tr.gradV, tr.anchorU, tr.anchorV, startCol, scratch)
+			mat.VGradObserved(src, tr.gradV, tr.anchorU, tr.anchorV, startCol, scratch)
 			tr.anchorAge = 0
 		}
 
@@ -103,14 +103,14 @@ func runStochastic(model *Model, src mat.RowSource, graph *spatial.Graph, tr *tr
 		for b, nb := 0, sampler.NumBatches(); b < nb; b++ {
 			rows := sampler.Batch(b)
 			if svrg {
-				mat.StochasticStepSource(src, gv, u, v, rows, lr, startCol, tr.anchorU, tr.anchorV, scratch)
+				mat.StochasticStep(src, gv, u, v, rows, lr, startCol, tr.anchorU, tr.anchorV, scratch)
 				w := 0.0
 				if total > 0 {
 					w = float64(sampler.BatchCells(b)) / total
 				}
 				applyVStep(v, gv, tr.gradV, w, lr, startCol)
 			} else {
-				mat.StochasticStepSource(src, gv, u, v, rows, lr, startCol, nil, nil, scratch)
+				mat.StochasticStep(src, gv, u, v, rows, lr, startCol, nil, nil, scratch)
 				applyVStep(v, gv, nil, 0, lr, startCol)
 			}
 		}

@@ -10,6 +10,7 @@ package core
 import (
 	"fmt"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"github.com/spatialmf/smfl/internal/mat"
@@ -189,6 +190,19 @@ func TestFitSourceRejectsFullSweepUpdaters(t *testing.T) {
 		cfg.LearningRate = 5e-3
 		if _, err := FitSource(st, l, SMFL, cfg); err == nil {
 			t.Fatalf("FitSource accepted the full-sweep %v updater", u)
+		}
+
+		// Resuming a dense full-sweep checkpoint over the store is refused
+		// for the updater, before (and independent of) the hash check.
+		ckpt := filepath.Join(t.TempDir(), "dense.ckpt")
+		cfg.MaxIter = 3
+		cfg.CheckpointPath = ckpt
+		if _, err := Fit(x, omega, l, SMFL, cfg); err != nil {
+			t.Fatal(err)
+		}
+		_, err := ResumeFitSource(ckpt, st, nil)
+		if err == nil || !strings.Contains(err.Error(), "supports sgd/svrg only") {
+			t.Fatalf("ResumeFitSource of a %v checkpoint: got %v, want the sgd/svrg refusal", u, err)
 		}
 	}
 }

@@ -63,7 +63,7 @@ func newDenseReference(x *mat.Dense, omega *mat.Mask, graph *spatial.Graph, c0 i
 // Fit does, without running it.
 func startFactors(t *testing.T, x *mat.Dense, omega *mat.Mask, l int, cfg Config) (u, v *mat.Dense, graph *spatial.Graph) {
 	t.Helper()
-	si := siFilled(x, omega, l)
+	si := siFilled(mat.NewDenseSource(x, omega), l)
 	graph, ix, err := buildSpatial(si, SMFL, cfg)
 	if err != nil {
 		t.Fatal(err)

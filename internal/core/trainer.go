@@ -38,7 +38,7 @@ type trainer struct {
 
 	ckptPath  string
 	ckptEvery int
-	hash      uint64 // fitHash of (data, mask, weights, solver config)
+	hash      uint64 // fitHash of (source content, weights, solver config)
 
 	// Watchdog state. goodU/goodV snapshot the factors after the last
 	// healthy iteration; restores CopyFrom into the live factors so the

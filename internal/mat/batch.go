@@ -141,7 +141,7 @@ func (sc *BatchScratch) ensure(nc, km, cols int, anchor bool) {
 }
 
 // StochasticStep applies one projected mini-batch step over the given rows
-// and stores the batch's V-direction into gv (K×M, overwritten):
+// of src and stores the batch's V-direction into gv (K×M, overwritten):
 //
 //	u_i ← max(0, u_i + 2·lr·Σ_{j∈Ω_i} e_ij·v_j)        (per sampled row i)
 //	gv[r][j] = Σ_{i∈rows, j∈Ω_i, j≥startCol} e'_ij·u_i[r]
@@ -157,33 +157,18 @@ func (sc *BatchScratch) ensure(nc, km, cols int, anchor bool) {
 // startCol (frozen landmarks) are never written. Rows are partitioned onto
 // the worker pool; per-chunk partials combine in chunk order, so results
 // are deterministic for a fixed pool size.
-func (m *Mask) StochasticStep(gv, x, u, v *Dense, rows []int32, lr float64, startCol int, au, av *Dense, sc *BatchScratch) {
-	stochAccum(NewDenseSource(x, m), gv, u, v, au, av, rows, lr, true, startCol, sc)
-}
-
-// StochasticStepSource is StochasticStep reading row data through a
-// RowSource instead of a resident (x, mask) pair. With equal sources the two
-// produce Float64bits-identical results: the chunk partition depends only on
-// (row count, |Ω|·K work, pool size) and each chunk's arithmetic reads the
-// same values in the same order.
-func StochasticStepSource(src RowSource, gv, u, v *Dense, rows []int32, lr float64, startCol int, au, av *Dense, sc *BatchScratch) {
+func StochasticStep(src RowSource, gv, u, v *Dense, rows []int32, lr float64, startCol int, au, av *Dense, sc *BatchScratch) {
 	stochAccum(src, gv, u, v, au, av, rows, lr, true, startCol, sc)
 }
 
-// VGradObserved stores the full observed V-direction at the given factors
-// into gv (K×M, overwritten), without touching u:
+// VGradObserved stores the full observed V-direction of src at the given
+// factors into gv (K×M, overwritten), without touching u:
 //
 //	gv[r][j] = Σ_{(i,j)∈Ω, j≥startCol} (x_ij − u_i·v_j)·u_i[r]
 //
 // This is the SVRG anchor's full gradient snapshot, recomputed once per
 // anchor refresh in a single |Ω|·K pass (no N×M intermediate).
-func (m *Mask) VGradObserved(gv, x, u, v *Dense, startCol int, sc *BatchScratch) {
-	stochAccum(NewDenseSource(x, m), gv, u, v, nil, nil, nil, 0, false, startCol, sc)
-}
-
-// VGradObservedSource is VGradObserved over a RowSource (the SVRG anchor
-// refresh of a source-backed fit).
-func VGradObservedSource(src RowSource, gv, u, v *Dense, startCol int, sc *BatchScratch) {
+func VGradObserved(src RowSource, gv, u, v *Dense, startCol int, sc *BatchScratch) {
 	stochAccum(src, gv, u, v, nil, nil, nil, 0, false, startCol, sc)
 }
 

@@ -116,7 +116,7 @@ func TestVGradObservedMatchesNaive(t *testing.T) {
 		x, mask, u, v := randomSparseProblem(t, 35, 9, 5, 0.45, 3)
 		want := naiveVGrad(x, mask, u, v, c0)
 		got := NewDense(5, 9)
-		mask.VGradObserved(got, x, u, v, c0, NewBatchScratch())
+		VGradObserved(NewDenseSource(x, mask), got, u, v, c0, NewBatchScratch())
 		for i, wv := range want.Data() {
 			if d := math.Abs(got.Data()[i] - wv); d > 1e-12 {
 				t.Fatalf("c0=%d: entry %d differs by %g", c0, i, d)
@@ -177,7 +177,7 @@ func TestStochasticStepMatchesNaive(t *testing.T) {
 		wantGV := naiveVGrad(x, sub, uRef, v, c0)
 
 		gv := NewDense(4, 8)
-		mask.StochasticStep(gv, x, u, v, rows, lr, c0, nil, nil, NewBatchScratch())
+		StochasticStep(NewDenseSource(x, mask), gv, u, v, rows, lr, c0, nil, nil, NewBatchScratch())
 		for i, wv := range uRef.Data() {
 			if d := math.Abs(u.Data()[i] - wv); d > 1e-12 {
 				t.Fatalf("c0=%d: U entry %d differs by %g", c0, i, d)
@@ -202,7 +202,7 @@ func TestStochasticStepSVRGCorrection(t *testing.T) {
 
 	uPlain := u.Clone()
 	plain := NewDense(3, 7)
-	mask.StochasticStep(plain, x, uPlain, v, rows, 0.01, 0, nil, nil, NewBatchScratch())
+	StochasticStep(NewDenseSource(x, mask), plain, uPlain, v, rows, 0.01, 0, nil, nil, NewBatchScratch())
 
 	sub := NewMask(30, 7)
 	for _, ri := range rows {
@@ -215,7 +215,7 @@ func TestStochasticStepSVRGCorrection(t *testing.T) {
 	anchorDir := naiveVGrad(x, sub, au, av, 0)
 
 	got := NewDense(3, 7)
-	mask.StochasticStep(got, x, u, v, rows, 0.01, 0, au, av, NewBatchScratch())
+	StochasticStep(NewDenseSource(x, mask), got, u, v, rows, 0.01, 0, au, av, NewBatchScratch())
 	for i := range got.Data() {
 		want := plain.Data()[i] - anchorDir.Data()[i]
 		if d := math.Abs(got.Data()[i] - want); d > 1e-10 {
@@ -244,7 +244,7 @@ func TestStochasticStepDeterministicPooled(t *testing.T) {
 	run := func() (*Dense, *Dense) {
 		u := u0.Clone()
 		gv := NewDense(4, 10)
-		mask.StochasticStep(gv, x, u, v, rows, 0.01, 0, nil, nil, NewBatchScratch())
+		StochasticStep(NewDenseSource(x, mask), gv, u, v, rows, 0.01, 0, nil, nil, NewBatchScratch())
 		return u, gv
 	}
 	u1, g1 := run()

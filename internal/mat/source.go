@@ -39,8 +39,8 @@ type RowReader interface {
 }
 
 // DenseSource adapts an in-memory (X, Ω) pair to the RowSource seam. It
-// snapshots the mask's CSR index at construction, so build one per kernel
-// call (they are allocation-cheap) rather than caching across mask mutations.
+// snapshots the mask's CSR index at construction, so it must not outlive a
+// mutation of the mask (they are allocation-cheap to rebuild).
 type DenseSource struct {
 	x  *Dense
 	ix *maskIndex
