@@ -428,6 +428,23 @@ func (m *Model) Recover(x *mat.Dense, omega *mat.Mask) *mat.Dense {
 	return omega.Recover(x, m.Predict())
 }
 
+// WarmStartPlacer returns the model's Placer when it fits the model — it
+// expects the L SI columns and carries K-feature coefficients — and nil
+// otherwise (no placer, no SI, or a hand-built placer of another shape).
+// Fold-in and the serving layer's degraded fallback warm-start rows only
+// from the placer this returns.
+func (m *Model) WarmStartPlacer() *landmark.Placer {
+	p := m.Placer
+	if p == nil {
+		return nil
+	}
+	k, cols := m.V.Dims()
+	if m.L <= 0 || m.L > cols || p.Dim() != m.L || p.Coeff().Cols() != k {
+		return nil
+	}
+	return p
+}
+
 // FeatureLocations returns the first L columns of V — the spatial positions
 // of the learned features visualized in Figs. 1 and 5.
 func (m *Model) FeatureLocations() *mat.Dense {

@@ -96,11 +96,10 @@ func runFit(model *Model, tr *trainer, src DataSource, graph *spatial.Graph, ix 
 		return model, err
 	}
 	if ix != nil {
-		// Placement is an enhancement, not a contract: an index too small
-		// for LMDS (< 2 landmarks) just leaves Placer nil and fold-in keeps
-		// its random initialization.
-		if p, perr := ix.NewPlacer(model.U); perr == nil {
-			model.Placer = p
+		// The placer keeps the landmark coordinates and their rows of U, so
+		// fold-in can warm-start new rows from their nearest landmarks.
+		if model.Placer, err = ix.NewPlacer(model.U); err != nil {
+			return model, err
 		}
 	}
 	return model, nil

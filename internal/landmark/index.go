@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
 
 	"github.com/spatialmf/smfl/internal/mat"
 	"github.com/spatialmf/smfl/internal/spatial"
@@ -24,12 +23,9 @@ import (
 // full KD-tree build over N points followed by N tree searches.
 type Index struct {
 	cfg       Config
-	si        *mat.Dense // referenced, read-only
-	landmarks []int      // selected row indices, selection order
-	coords    *mat.Dense // L×d landmark coordinates (owned copy)
-	mdsOnce   sync.Once  // LMDS is lazy: graph construction never needs it
-	mds       *LMDS
-	mdsErr    error
+	si        *mat.Dense  // referenced, read-only
+	landmarks []int       // selected row indices, selection order
+	coords    *mat.Dense  // L×d landmark coordinates (owned copy)
 	primary   []int32     // nearest landmark per row
 	px, py    int         // projection axes (py < 0: single-axis projection)
 	buckets   [][]int32   // rows of each bucket, grid-cell order
@@ -55,8 +51,8 @@ type cellRef struct {
 	c  int32
 }
 
-// Build selects landmarks over si, fits the LMDS model, and buckets every
-// row under its nearest landmark.
+// Build selects landmarks over si and buckets every row under its nearest
+// landmark.
 func Build(si *mat.Dense, cfg Config) (*Index, error) {
 	n, d := si.Dims()
 	sel, err := Select(si, cfg)
@@ -386,28 +382,6 @@ func (ix *Index) Landmarks() []int { return ix.landmarks }
 // Coords returns the L×d landmark coordinate matrix (read-only).
 func (ix *Index) Coords() *mat.Dense { return ix.coords }
 
-// ensureMDS fits the landmark MDS model on first use. Pure graph
-// construction never pays for the eigendecomposition; embedding and
-// placement do, once.
-func (ix *Index) ensureMDS() (*LMDS, error) {
-	ix.mdsOnce.Do(func() {
-		if l, _ := ix.coords.Dims(); l < 2 {
-			ix.mdsErr = errors.New("landmark: LMDS needs at least 2 landmarks")
-			return
-		}
-		_, d := ix.coords.Dims()
-		ix.mds, ix.mdsErr = NewLMDS(ix.coords, d, ix.cfg.Seed)
-	})
-	return ix.mds, ix.mdsErr
-}
-
-// MDS returns the landmark MDS model, fitting it on first call (nil when
-// it cannot be fitted, e.g. fewer than 2 landmarks).
-func (ix *Index) MDS() *LMDS {
-	m, _ := ix.ensureMDS()
-	return m
-}
-
 // cand is one scored neighbor candidate during a query (squared distance).
 type cand struct {
 	d2  float64
@@ -544,38 +518,10 @@ func (ix *Index) PNNGraph(p int) (*spatial.Graph, error) {
 	return spatial.NewGraphFromNeighbors(nbrs), nil
 }
 
-// EmbedAll triangulates every row of si into the landmark embedding from
-// its L landmark distances only — the N×m LMDS coordinate matrix.
-func (ix *Index) EmbedAll() (*mat.Dense, error) {
-	mds, err := ix.ensureMDS()
-	if err != nil {
-		return nil, fmt.Errorf("landmark: embedding: %w", err)
-	}
-	n, _ := ix.si.Dims()
-	l, _ := ix.coords.Dims()
-	out := mat.NewDense(n, mds.Dim())
-	mat.ParallelRange(n, n*l*(mds.Dim()+4), func(lo, hi int) {
-		d2 := make([]float64, l)
-		for i := lo; i < hi; i++ {
-			xi := ix.si.Row(i)
-			for b := 0; b < l; b++ {
-				d2[b] = sqDist(xi, ix.coords.Row(b))
-			}
-			mds.Triangulate(out.Row(i), d2)
-		}
-	})
-	return out, nil
-}
-
 // NewPlacer extracts the O(L)-sized placement model: the landmark
-// coordinates, the LMDS map, and the landmark rows of the trained
-// coefficient matrix u (N×k, row-aligned with si). The Placer references
-// nothing of size N.
+// coordinates and the landmark rows of the trained coefficient matrix u
+// (N×k, row-aligned with si). The Placer references nothing of size N.
 func (ix *Index) NewPlacer(u *mat.Dense) (*Placer, error) {
-	mds, err := ix.ensureMDS()
-	if err != nil {
-		return nil, fmt.Errorf("landmark: placer: %w", err)
-	}
 	un, uk := u.Dims()
 	if sn, _ := ix.si.Dims(); un != sn {
 		return nil, fmt.Errorf("landmark: coefficient rows %d, index built over %d", un, sn)
@@ -586,7 +532,6 @@ func (ix *Index) NewPlacer(u *mat.Dense) (*Placer, error) {
 	}
 	return &Placer{
 		coords: ix.coords.Clone(),
-		mds:    mds,
 		coeff:  coeff,
 		probes: ix.cfg.Probes,
 	}, nil

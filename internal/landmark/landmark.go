@@ -5,15 +5,14 @@
 //
 // The subsystem has four parts. Selection (this file) picks L well-spread
 // rows by k-means++ D² sampling followed by maxmin (farthest-point) filling.
-// Classical Landmark MDS (lmds.go) solves the exact L×L double-centered
-// squared-distance system and triangulates any point into the landmark
-// embedding from its L landmark distances only. The Index (index.go) buckets
-// every row under its nearest landmark and answers approximate p-NN queries
-// by spiraling over small per-bucket grids in the few nearest buckets,
-// emitting the same spatial.Graph CSR the exact path produces. The Placer
-// (placer.go) carries just the L-sized slices of that state, giving the
-// serving path O(L) spatial placement for fold-in rows with no reference to
-// any N-sized structure.
+// The Index (index.go) buckets every row under its nearest landmark and
+// answers approximate p-NN queries by spiraling over small per-bucket grids
+// in the few nearest buckets, emitting the same spatial.Graph CSR the exact
+// path produces. The coreset (coreset.go) weights each landmark by its bucket
+// population, so K-means for the landmark matrix C runs over L points. The
+// Placer (placer.go) carries just the L-sized slices of that state, giving
+// the serving path O(L) spatial placement for fold-in rows with no reference
+// to any N-sized structure.
 package landmark
 
 import (
@@ -51,7 +50,7 @@ type Config struct {
 	// while boundary rows spill over — the budget is what keeps graph
 	// construction linear in N at a small constant.
 	ScanBudget int
-	// Seed drives selection and the eigensolver start.
+	// Seed drives selection.
 	Seed int64
 }
 

@@ -10,22 +10,18 @@ import (
 )
 
 // Placer is the O(L) placement model for rows that arrive after training:
-// it holds only landmark-sized state (L×d coordinates, the LMDS map, and
-// the L×k landmark rows of the trained coefficient matrix), so placing a
-// row costs exactly L distance evaluations regardless of how many rows the
-// model was trained on. It is immutable and safe for concurrent use.
+// it holds only landmark-sized state (L×d coordinates and the L×k landmark
+// rows of the trained coefficient matrix), so placing a row costs exactly L
+// distance evaluations regardless of how many rows the model was trained
+// on. It is immutable and safe for concurrent use.
 type Placer struct {
 	coords *mat.Dense // L×d landmark SI coordinates
-	mds    *LMDS
 	coeff  *mat.Dense // L×k landmark fold-in coefficients
 	probes int
 }
 
 // Placement is the spatial context of one placed row.
 type Placement struct {
-	// Embedding is the row's LMDS coordinates, triangulated from its
-	// landmark distances.
-	Embedding []float64
 	// Nearest lists the closest landmarks (positions in the landmark set,
 	// nearest first) and Dist the matching distances.
 	Nearest []int
@@ -53,10 +49,6 @@ func (p *Placer) Place(si []float64) (Placement, error) {
 			return Placement{}, errors.New("landmark: Place input not finite")
 		}
 	}
-	d2 := make([]float64, l)
-	for b := 0; b < l; b++ {
-		d2[b] = sqDist(si, p.coords.Row(b))
-	}
 	q := p.probes
 	if q > l {
 		q = l
@@ -64,7 +56,7 @@ func (p *Placer) Place(si []float64) (Placement, error) {
 	nearest := make([]int, 0, q)
 	dist := make([]float64, 0, q)
 	for b := 0; b < l; b++ {
-		db := math.Sqrt(d2[b])
+		db := math.Sqrt(sqDist(si, p.coords.Row(b)))
 		if len(nearest) == q && db >= dist[q-1] {
 			continue
 		}
@@ -82,7 +74,6 @@ func (p *Placer) Place(si []float64) (Placement, error) {
 		nearest[at], dist[at] = b, db
 	}
 	return Placement{
-		Embedding: p.mds.Triangulate(nil, d2),
 		Nearest:   nearest,
 		Dist:      dist,
 		DistEvals: l,
@@ -128,36 +119,24 @@ func (p *Placer) WarmStart(dst, si []float64) bool {
 	return true
 }
 
-// placerWire is the gob image of a Placer. Fields are append-only.
+// placerWire is the gob image of a Placer. Fields are append-only; never
+// reuse a retired name. Placers written before wire version 6 also carry
+// MDSDim, MDSMu, MDSCoords and MDSSharp (a Landmark-MDS map nothing read),
+// which gob skips on decode.
 type placerWire struct {
 	Coords []byte
 	Coeff  []byte
 	Probes int
-	// LMDS state.
-	MDSDim    int
-	MDSMu     []float64
-	MDSCoords []byte
-	MDSSharp  []byte
 }
 
 // MarshalBinary encodes the placer for persistence inside a model file.
 func (p *Placer) MarshalBinary() ([]byte, error) {
-	w := placerWire{
-		Probes: p.probes,
-		MDSDim: p.mds.dim,
-		MDSMu:  p.mds.mu,
-	}
+	w := placerWire{Probes: p.probes}
 	var err error
 	if w.Coords, err = p.coords.MarshalBinary(); err != nil {
 		return nil, err
 	}
 	if w.Coeff, err = p.coeff.MarshalBinary(); err != nil {
-		return nil, err
-	}
-	if w.MDSCoords, err = p.mds.coords.MarshalBinary(); err != nil {
-		return nil, err
-	}
-	if w.MDSSharp, err = p.mds.lsharp.MarshalBinary(); err != nil {
 		return nil, err
 	}
 	var buf bytes.Buffer
@@ -174,27 +153,18 @@ func (p *Placer) UnmarshalBinary(data []byte) error {
 		return err
 	}
 	coords, coeff := &mat.Dense{}, &mat.Dense{}
-	mcoords, msharp := &mat.Dense{}, &mat.Dense{}
 	if err := coords.UnmarshalBinary(w.Coords); err != nil {
 		return err
 	}
 	if err := coeff.UnmarshalBinary(w.Coeff); err != nil {
 		return err
 	}
-	if err := mcoords.UnmarshalBinary(w.MDSCoords); err != nil {
-		return err
-	}
-	if err := msharp.UnmarshalBinary(w.MDSSharp); err != nil {
-		return err
-	}
-	if w.Probes <= 0 || w.MDSDim <= 0 || coords.Rows() == 0 ||
-		coords.Rows() != coeff.Rows() || len(w.MDSMu) != coords.Rows() {
+	if w.Probes <= 0 || coords.Rows() == 0 || coords.Rows() != coeff.Rows() {
 		return errors.New("landmark: placer wire state inconsistent")
 	}
 	p.coords = coords
 	p.coeff = coeff
 	p.probes = w.Probes
-	p.mds = &LMDS{dim: w.MDSDim, mu: w.MDSMu, coords: mcoords, lsharp: msharp}
 	return nil
 }
 
@@ -202,32 +172,15 @@ func (p *Placer) UnmarshalBinary(data []byte) error {
 func (p *Placer) Coeff() *mat.Dense { return p.coeff }
 
 // Validate rejects placer state that decoded cleanly but does not describe a
-// well-formed placement model: non-finite matrices, or an LMDS map whose
-// shapes disagree with the landmark set. Model loading calls this so a
-// corrupted or hostile file is refused instead of crashing serving later.
+// well-formed placement model: missing or non-finite matrices. Model loading
+// calls this so a corrupted or hostile file is refused instead of crashing
+// serving later.
 func (p *Placer) Validate() error {
-	if p.coords == nil || p.coeff == nil || p.mds == nil {
+	if p.coords == nil || p.coeff == nil {
 		return errors.New("landmark: placer missing state")
 	}
-	l := p.coords.Rows()
 	if !p.coords.IsFinite() || !p.coeff.IsFinite() {
 		return errors.New("landmark: placer has non-finite entries")
-	}
-	m := p.mds
-	if m.coords == nil || m.lsharp == nil {
-		return errors.New("landmark: placer LMDS missing state")
-	}
-	if m.coords.Rows() != l || m.lsharp.Rows() != l || len(m.mu) != l ||
-		m.coords.Cols() != m.dim || m.lsharp.Cols() != m.dim {
-		return errors.New("landmark: placer LMDS shape mismatch")
-	}
-	if !m.coords.IsFinite() || !m.lsharp.IsFinite() {
-		return errors.New("landmark: placer LMDS has non-finite entries")
-	}
-	for _, v := range m.mu {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return errors.New("landmark: placer LMDS has non-finite entries")
-		}
 	}
 	return nil
 }

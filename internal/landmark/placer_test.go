@@ -1,6 +1,8 @@
 package landmark
 
 import (
+	"bytes"
+	"encoding/gob"
 	"math"
 	"math/rand"
 	"testing"
@@ -55,7 +57,7 @@ func TestPlacerOpCountIsL(t *testing.T) {
 	}
 }
 
-func TestPlaceNearestSortedAndEmbedded(t *testing.T) {
+func TestPlaceNearestSorted(t *testing.T) {
 	rng := rand.New(rand.NewSource(111))
 	p, si := buildPlacer(t, rng, 500)
 	pl, err := p.Place(si.Row(42))
@@ -79,9 +81,6 @@ func TestPlaceNearestSortedAndEmbedded(t *testing.T) {
 	}
 	if pl.Dist[0] != bestD {
 		t.Fatalf("nearest dist %v, true min %v", pl.Dist[0], bestD)
-	}
-	if len(pl.Embedding) != p.mds.Dim() {
-		t.Fatalf("embedding length %d, want %d", len(pl.Embedding), p.mds.Dim())
 	}
 }
 
@@ -157,13 +156,8 @@ func TestPlacerGobRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.DistEvals != b.DistEvals || len(a.Embedding) != len(b.Embedding) {
+	if a.DistEvals != b.DistEvals || len(a.Nearest) != len(b.Nearest) {
 		t.Fatal("round-tripped placer shape differs")
-	}
-	for i := range a.Embedding {
-		if a.Embedding[i] != b.Embedding[i] {
-			t.Fatal("round-tripped embedding differs")
-		}
 	}
 	for i := range a.Nearest {
 		if a.Nearest[i] != b.Nearest[i] || a.Dist[i] != b.Dist[i] {
@@ -172,5 +166,111 @@ func TestPlacerGobRoundTrip(t *testing.T) {
 	}
 	if err := (&Placer{}).UnmarshalBinary([]byte("junk")); err == nil {
 		t.Fatal("expected error for corrupt placer bytes")
+	}
+}
+
+func TestNewPlacerOneLandmark(t *testing.T) {
+	// A one-row index has a single landmark; the placer built from it warm
+	// starts every row from that landmark's coefficients (floored).
+	si := mat.NewDenseData(1, 2, []float64{0.3, 0.7})
+	ix, err := Build(si, Config{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	u := mat.NewDenseData(1, 3, []float64{0.2, 0.5, 1e-6})
+	p, err := ix.NewPlacer(u)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.Landmarks() != 1 || p.Dim() != 2 {
+		t.Fatalf("placer L=%d d=%d, want 1 and 2", p.Landmarks(), p.Dim())
+	}
+	dst := make([]float64, 3)
+	if !p.WarmStart(dst, []float64{5, -5}) {
+		t.Fatal("WarmStart refused a finite row")
+	}
+	for k, want := range []float64{0.2, 0.5, 1e-3} {
+		if math.Abs(dst[k]-want) > 1e-12 {
+			t.Fatalf("warm start[%d] = %v, want %v", k, dst[k], want)
+		}
+	}
+}
+
+func TestNewPlacerRejectsRowMismatch(t *testing.T) {
+	rng := rand.New(rand.NewSource(115))
+	si := clusteredSI(rng, 200, 4, 2)
+	ix, err := Build(si, Config{Seed: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ix.NewPlacer(mat.NewDense(199, 4)); err == nil {
+		t.Fatal("NewPlacer accepted coefficients for a different row count")
+	}
+}
+
+func TestPlaceClampsProbesToLandmarks(t *testing.T) {
+	// A placer decoded with more probes than landmarks returns every
+	// landmark, nearest first, and still costs exactly L evaluations.
+	coords := mat.NewDenseData(3, 1, []float64{0, 10, 3})
+	p := &Placer{coords: coords, coeff: mat.NewDense(3, 2), probes: 8}
+	pl, err := p.Place([]float64{4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []int{2, 0, 1}
+	if len(pl.Nearest) != len(want) || pl.DistEvals != 3 {
+		t.Fatalf("nearest %v (evals %d), want %v (evals 3)", pl.Nearest, pl.DistEvals, want)
+	}
+	for i, b := range want {
+		if pl.Nearest[i] != b {
+			t.Fatalf("nearest %v, want %v", pl.Nearest, want)
+		}
+	}
+	if _, err := p.Place([]float64{math.Inf(1)}); err == nil {
+		t.Fatal("Place accepted a non-finite row")
+	}
+}
+
+func TestPlacerUnmarshalRejectsInconsistentWire(t *testing.T) {
+	dense := func(r, c int) []byte {
+		b, err := mat.NewDense(r, c).MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	for _, tc := range []struct {
+		name string
+		w    placerWire
+	}{
+		{"probes zero", placerWire{Coords: dense(3, 2), Coeff: dense(3, 4), Probes: 0}},
+		{"row mismatch", placerWire{Coords: dense(3, 2), Coeff: dense(2, 4), Probes: 2}},
+		{"no landmarks", placerWire{Coords: dense(0, 2), Coeff: dense(0, 4), Probes: 2}},
+		{"missing coeff", placerWire{Coords: dense(3, 2), Probes: 2}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var buf bytes.Buffer
+			if err := gob.NewEncoder(&buf).Encode(&tc.w); err != nil {
+				t.Fatal(err)
+			}
+			if err := (&Placer{}).UnmarshalBinary(buf.Bytes()); err == nil {
+				t.Fatal("UnmarshalBinary accepted an inconsistent placer")
+			}
+		})
+	}
+}
+
+func TestPlacerValidate(t *testing.T) {
+	rng := rand.New(rand.NewSource(116))
+	p, _ := buildPlacer(t, rng, 300)
+	if err := p.Validate(); err != nil {
+		t.Fatalf("built placer failed validation: %v", err)
+	}
+	if err := (&Placer{}).Validate(); err == nil {
+		t.Fatal("Validate accepted a placer with no state")
+	}
+	p.coeff.Set(0, 0, math.NaN())
+	if err := p.Validate(); err == nil {
+		t.Fatal("Validate accepted non-finite coefficients")
 	}
 }

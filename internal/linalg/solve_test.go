@@ -166,28 +166,6 @@ func TestLeastSquaresMatchesRidgeAtZero(t *testing.T) {
 	}
 }
 
-func TestSymEigenProperty(t *testing.T) {
-	rng := rand.New(rand.NewSource(45))
-	for trial := 0; trial < 20; trial++ {
-		n := 1 + rng.Intn(9)
-		b := mat.RandomNormal(rng, n, n, 0, 1)
-		a := mat.Add(nil, b, b.T()) // symmetric
-		eig, err := SymEigen(a)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Q Λ Qᵀ == A
-		lam := mat.NewDense(n, n)
-		for i := 0; i < n; i++ {
-			lam.Set(i, i, eig.Values[i])
-		}
-		rec := mat.MulBT(nil, mat.Mul(nil, eig.Vectors, lam), eig.Vectors)
-		if !mat.EqualApprox(rec, a, 1e-8) {
-			t.Fatalf("trial %d: QΛQᵀ != A", trial)
-		}
-	}
-}
-
 func TestPCAOnPlane(t *testing.T) {
 	// Points on a line in 3D: one dominant component.
 	rng := rand.New(rand.NewSource(46))

@@ -1,8 +1,7 @@
 // Package linalg implements the numerical linear algebra needed by the
 // matrix-completion baselines of the SMFL reproduction: a one-sided Jacobi
-// SVD, Householder QR, Cholesky-based ridge/least-squares solvers, a
-// symmetric Jacobi eigendecomposition, and PCA. Everything is written against
-// internal/mat and the standard library only.
+// SVD, Householder QR, Cholesky-based ridge/least-squares solvers, and PCA.
+// Everything is written against internal/mat and the standard library only.
 package linalg
 
 import (

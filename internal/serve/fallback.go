@@ -64,7 +64,7 @@ func newFallback(m *core.Model) *fallback {
 			f.colMeans[j] = 0.5
 		}
 	}
-	if p := m.Placer; p != nil && m.L > 0 && m.L <= cols && p.Dim() == m.L && p.Coeff().Cols() == k {
+	if p := m.WarmStartPlacer(); p != nil {
 		f.placer = p
 		f.l = m.L
 	}
