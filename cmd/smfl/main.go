@@ -6,7 +6,7 @@
 //	smfl impute  -in data.csv -out filled.csv [-l 2] [-method SMFL] [-k 10] [-lambda 0.1] [-p 3] [-savemodel m.smfl]
 //	smfl repair  -in data.csv -out repaired.csv [-l 2] [-threshold 6] ...
 //	smfl cluster -in data.csv [-l 2] [-k 5]
-//	smfl foldin  -model m.smfl -in new.csv -out filled.csv [-foldin-tol 1e-8]
+//	smfl foldin  -model m.smfl -in new.csv -out filled.csv
 //	smfl convert -in data.csv -out data.smfs [-l 2] [-shard-rows 4096]
 //	smfl impute  -store mmap -in data.smfs -out filled.csv [-mem-budget 256MiB] ...
 //
@@ -99,7 +99,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	checkpoint := fs.String("checkpoint", "", "impute: write an atomic training checkpoint here")
 	checkpointEvery := fs.Int("checkpoint-every", 25, "impute: checkpoint cadence in iterations")
 	resume := fs.Bool("resume", false, "impute: continue the fit from -checkpoint instead of starting over")
-	foldinTol := fs.Float64("foldin-tol", 0, "foldin: per-row convergence tolerance (0 = model default)")
 	spatialIndex := fs.String("spatial-index", "exact", "p-NN graph backend: exact | landmark (sub-quadratic, recommended for large N)")
 	storeKind := fs.String("store", "dense", "impute: data backend: dense (in-memory CSV) | mmap (-in is a shard-store directory from smfl convert)")
 	memBudget := fs.String("mem-budget", "", "mmap store: resident shard-cache budget, e.g. 256MiB (default)")
@@ -306,12 +305,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		// New rows arrive in original units; apply the training
 		// normalization, complete, and map back.
 		nz.Apply(ds.X)
-		if *foldinTol > 0 {
-			model.Config.FoldInTol = *foldinTol
-		}
 		model.Config.Ctx = ctx
 		start := time.Now()
-		completed, err := model.CompleteRows(ds.X, mask, *maxIter)
+		completed, err := model.CompleteRows(ds.X, mask, 0)
 		if err != nil {
 			return err
 		}

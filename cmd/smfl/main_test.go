@@ -166,6 +166,68 @@ func TestRunImputeSaveModelAndFoldIn(t *testing.T) {
 	}
 }
 
+// TestFoldinIgnoresMaxiter: smfl foldin answers at the model's optimum, so
+// the fit's -maxiter flag cannot change its output, which is
+// Model.CompleteRows of the same rows in original units.
+func TestFoldinIgnoresMaxiter(t *testing.T) {
+	dir := t.TempDir()
+	modelPath := filepath.Join(dir, "model.smfl")
+	var stdout, stderr bytes.Buffer
+	err := run(context.Background(), []string{"impute", "-in", writeTempCSV(t, true), "-out", filepath.Join(dir, "f.csv"),
+		"-k", "3", "-maxiter", "40", "-savemodel", modelPath}, &stdout, &stderr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	freshIn := writeTempCSV(t, true)
+	outs := map[string][]byte{}
+	for _, maxIter := range []string{"100", "500"} {
+		out := filepath.Join(dir, "fold"+maxIter+".csv")
+		if err := run(context.Background(), []string{"foldin", "-model", modelPath, "-in", freshIn, "-out", out, "-maxiter", maxIter}, &stdout, &stderr); err != nil {
+			t.Fatalf("foldin -maxiter %s: %v (stderr %s)", maxIter, err, stderr.String())
+		}
+		raw, err := os.ReadFile(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		outs[maxIter] = raw
+	}
+	if !bytes.Equal(outs["100"], outs["500"]) {
+		t.Fatal("smfl foldin output depends on -maxiter")
+	}
+
+	model, nz, err := loadArtifact(modelPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Open(freshIn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds, mask, err := dataset.ReadCSVMasked(f, freshIn, 2)
+	f.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	nz.Apply(ds.X)
+	completed, err := model.CompleteRows(ds.X, mask, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nz.Invert(completed)
+	ds.X = completed
+	want := filepath.Join(dir, "want.csv")
+	if err := writeOut(ds, want, &stdout); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(outs["100"], raw) {
+		t.Fatal("smfl foldin output differs from Model.CompleteRows of the same rows")
+	}
+}
+
 // TestSaveModelIsLoadableByCore asserts the -savemodel output is a plain
 // wire-v2 .smfl file (the format cmd/smfld serves) carrying norm stats.
 func TestSaveModelIsLoadableByCore(t *testing.T) {

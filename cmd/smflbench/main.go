@@ -406,7 +406,7 @@ func benchCell(name string, scale, rate float64, method core.Method, k, maxIter,
 		foldTimes := make([]float64, runs)
 		for r := 0; r < runs; r++ {
 			start := time.Now()
-			if _, err := model.FoldIn(fresh, nil, 50); err != nil {
+			if _, err := model.FoldIn(fresh, nil, 0); err != nil {
 				return Result{}, err
 			}
 			foldTimes[r] = float64(time.Since(start).Microseconds()) / float64(foldRows)

@@ -6,7 +6,7 @@
 // Usage:
 //
 //	smfld -addr :8080 -model air=air.smfl -model fuel=fuel.smfl \
-//	      [-maxbatch 256] [-queue 1024] [-iters 100] \
+//	      [-maxbatch 256] [-queue 1024] \
 //	      [-keep-versions 3] [-admit-max-cost 65536] [-admit-min-cost 0] \
 //	      [-target-p95 250ms] [-timeout 10s] [-max-timeout 60s] \
 //	      [-degraded-fallback auto]
@@ -109,7 +109,6 @@ func run(ctx context.Context, args []string, stderr io.Writer, ready func(addr s
 	addr := fs.String("addr", ":8080", "listen address")
 	maxBatch := fs.Int("maxbatch", 256, "a fold-in batch stops taking queued requests at this many rows")
 	queue := fs.Int("queue", 1024, "per-model pending request cap")
-	iters := fs.Int("iters", 100, "fold-in iteration cap per batch")
 	grace := fs.Duration("grace", 10*time.Second, "graceful shutdown deadline")
 	keep := fs.Int("keep-versions", 3, "model versions retained per name for ?version= pinning and rollback")
 	admitMax := fs.Int64("admit-max-cost", 65536, "admission window ceiling in observed cells")
@@ -135,7 +134,7 @@ func run(ctx context.Context, args []string, stderr io.Writer, ready func(addr s
 	}
 	metrics := serve.NewMetrics()
 	registry := serve.NewRegistry(serve.Config{
-		MaxBatchRows: *maxBatch, QueueDepth: *queue, FoldInIters: *iters,
+		MaxBatchRows: *maxBatch, QueueDepth: *queue,
 		KeepVersions: *keep,
 		Admission: serve.AdmissionConfig{
 			MaxCost: *admitMax, MinCost: *admitMin, TargetP95: *targetP95,

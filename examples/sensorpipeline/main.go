@@ -92,7 +92,7 @@ func main() {
 	for i := 0; i < 5; i++ {
 		freshMask.Hide(i, m-1) // fuel readings missing on arrival
 	}
-	completed, err := model.CompleteRows(fresh, freshMask, 100)
+	completed, err := model.CompleteRows(fresh, freshMask, 0)
 	if err != nil {
 		log.Fatal(err)
 	}

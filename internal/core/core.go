@@ -221,16 +221,11 @@ type Config struct {
 	// Placer for O(L) fold-in placement.
 	SpatialIndex SpatialIndex
 
-	// FoldInTol is the per-row relative objective-change tolerance that
-	// freezes a converged row in batched FoldIn (default 1e-8, the value
-	// previously hardcoded).
-	FoldInTol float64
-
 	// Ctx, when non-nil, makes Fit/ResumeFit/FoldIn cancellable: on
 	// cancellation or deadline the call stops at the next iteration boundary
-	// and returns the best-so-far result together with an error wrapping
-	// ErrInterrupted (and writes a final checkpoint first when checkpointing
-	// is configured). Ctx is runtime-only state: it is never serialized and
+	// (FoldIn: row boundary) and returns the best-so-far result together
+	// with an error wrapping ErrInterrupted (and writes a final checkpoint
+	// first when checkpointing is configured). Ctx is runtime-only state: it is never serialized and
 	// does not participate in the checkpoint configuration hash.
 	Ctx context.Context
 
@@ -287,9 +282,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Eps == 0 { //lint:ignore floatcmp zero config value means unset
 		c.Eps = 1e-12
-	}
-	if c.FoldInTol == 0 { //lint:ignore floatcmp zero config value means unset
-		c.FoldInTol = 1e-8
 	}
 	if c.BatchCells == 0 {
 		c.BatchCells = 32768
@@ -377,10 +369,11 @@ func (n *Norm) Validate(m int) error {
 // this; see the -race test in foldin_test.go). Hot reloads must swap the
 // *Model pointer rather than mutate fields in place.
 //
-// In particular V is immutable once the model has served a fold-in: the
-// first FoldIn derives the fold-in start row and Vᵀ from V, Config.Seed and
-// Config.K and reuses them on every later call. Assigning a new V matrix or
-// changing Seed or K rebuilds them; writing V's entries in place does not.
+// In particular U and V are immutable once the model has served a fold-in:
+// the first FoldIn derives Vᵀ and the p-NN index over the training rows
+// from U, V and L and reuses them on every later call. Assigning a new U or
+// V matrix or changing L rebuilds them; writing the factors' entries in
+// place does not.
 // A Model must not be copied by value (go vet reports it); share the
 // pointer.
 type Model struct {
@@ -398,9 +391,9 @@ type Model struct {
 
 	// Placer, when non-nil, is the O(L) landmark placement model attached
 	// by fits run with SpatialIndex == SpatialLandmark (saved since wire
-	// version 4). FoldIn uses it to warm-start new rows from the trained
-	// coefficients of their nearest landmarks; the serving layer uses it to
-	// report spatial context. It references nothing of size N.
+	// version 4). The serving layer's degraded fallback answers new rows
+	// from the trained coefficients of their nearest landmarks through it.
+	// It references nothing of size N.
 	Placer *landmark.Placer
 
 	Objective []float64 // objective value after each iteration
@@ -431,8 +424,8 @@ func (m *Model) Recover(x *mat.Dense, omega *mat.Mask) *mat.Dense {
 // WarmStartPlacer returns the model's Placer when it fits the model — it
 // expects the L SI columns and carries K-feature coefficients — and nil
 // otherwise (no placer, no SI, or a hand-built placer of another shape).
-// Fold-in and the serving layer's degraded fallback warm-start rows only
-// from the placer this returns.
+// The serving layer's degraded fallback warm-starts rows only from the
+// placer this returns.
 func (m *Model) WarmStartPlacer() *landmark.Placer {
 	p := m.Placer
 	if p == nil {

@@ -97,7 +97,8 @@ func runFit(model *Model, tr *trainer, src DataSource, graph *spatial.Graph, ix 
 	}
 	if ix != nil {
 		// The placer keeps the landmark coordinates and their rows of U, so
-		// fold-in can warm-start new rows from their nearest landmarks.
+		// the serving fallback can answer new rows from their nearest
+		// landmarks.
 		if model.Placer, err = ix.NewPlacer(model.U); err != nil {
 			return model, err
 		}

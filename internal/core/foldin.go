@@ -5,105 +5,170 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand"
+	"sync"
+	"sync/atomic"
 
-	"github.com/spatialmf/smfl/internal/faultinject"
 	"github.com/spatialmf/smfl/internal/mat"
+	"github.com/spatialmf/smfl/internal/spatial"
 )
 
-// foldBasis is the model-invariant part of every fold-in: the shared start
-// row and the column-major Vᵀ. It depends only on V, K and Seed, so a Model
-// derives it once (see Model.basis) instead of once per call.
+// foldBasis is the model-invariant part of every fold-in: the column-major
+// Vᵀ, the mean U row, and the training rows' SI as the model reconstructs
+// it, Û_SI = U·V[:, :L], indexed for p-NN search together with its column
+// means. It depends only on U, V and L, so a Model derives it once (see
+// Model.basis) instead of once per call.
 type foldBasis struct {
-	v     *mat.Dense // the V it was derived from
-	seed  int64
-	start []float64 // K uniform draws in [1e-3, 1) from rand.NewSource(Seed+1)
-	vt    []float64 // M×K row-major: Vᵀ, contiguous per column of V
+	u, v *mat.Dense // the factors it was derived from
+	l    int
+	vt   []float64 // M×K row-major: Vᵀ, contiguous per column of V
+	// uMean is the mean row of U, nil when U has no rows (or does not match
+	// V, which only a hand-built model can do).
+	uMean []float64
+	// tree indexes the rows of Û_SI and siMean holds its column means; both
+	// are nil when L = 0 or uMean is nil.
+	tree   *spatial.KDTree
+	siMean []float64
+	// scratch pools per-chunk *foldScratch, so a fold-in's per-row
+	// workspace is not reallocated on every call.
+	scratch sync.Pool
+}
+
+// foldScratch is one chunk's workspace for foldRow.
+type foldScratch struct {
+	knn     spatial.KNNScratch
+	g, chol []float64 // K×K
+	b, z    []float64 // K
+	q       []float64 // L: the row's SI with hidden cells filled
+	set     []int     // the active-set solver's passive indices
+	passive []bool    // K
 }
 
 // basis returns the model's fold-in basis, deriving it on first use. A
-// basis built for a different V matrix, Seed or K is never served: replacing
-// m.V or changing Config.Seed or Config.K rebuilds it. Mutating V's entries
-// in place after a fold-in is not detected, which is why V is immutable
-// once a model has served one (see Model). Concurrent first uses may each
-// build a basis; they are identical, and the last store wins.
+// basis built for a different U or V matrix or SI width is never served:
+// replacing m.U or m.V or changing m.L rebuilds it. Mutating the factors'
+// entries in place after a fold-in is not detected, which is why they are
+// immutable once a model has served one (see Model). Concurrent first uses
+// may each build a basis; they are identical, and the last store wins.
 func (m *Model) basis() *foldBasis {
-	k := m.Config.K
-	if b := m.fold.Load(); b != nil && b.v == m.V && b.seed == m.Config.Seed && len(b.start) == k {
+	if b := m.fold.Load(); b != nil && b.u == m.U && b.v == m.V && b.l == m.L {
 		return b
 	}
-	rng := rand.New(rand.NewSource(m.Config.Seed + 1))
-	b := &foldBasis{
-		v:     m.V,
-		seed:  m.Config.Seed,
-		start: mat.RandomUniform(rng, 1, k, 1e-3, 1).Row(0),
-		vt:    m.V.T().Data(),
+	k, _ := m.V.Dims()
+	l := m.L
+	b := &foldBasis{u: m.U, v: m.V, l: l, vt: m.V.T().Data()}
+	b.scratch.New = func() any {
+		return &foldScratch{
+			g: make([]float64, k*k), chol: make([]float64, k*k),
+			b: make([]float64, k), z: make([]float64, k), q: make([]float64, l),
+			set: make([]int, 0, k), passive: make([]bool, k),
+		}
+	}
+	if m.U != nil && m.U.Rows() > 0 && m.U.Cols() == k {
+		n := m.U.Rows()
+		b.uMean = make([]float64, k)
+		for i := 0; i < n; i++ {
+			for t, v := range m.U.Row(i) {
+				b.uMean[t] += v
+			}
+		}
+		for t := range b.uMean {
+			b.uMean[t] /= float64(n)
+		}
+		if l > 0 {
+			siHat := mat.Mul(nil, m.U, m.V.Slice(0, k, 0, l))
+			pts := make([][]float64, n)
+			b.siMean = make([]float64, l)
+			for i := range pts {
+				pts[i] = siHat.Row(i)
+				for j, v := range pts[i] {
+					b.siMean[j] += v
+				}
+			}
+			for j := range b.siMean {
+				b.siMean[j] /= float64(n)
+			}
+			b.tree = spatial.NewKDTree(pts)
+		}
 	}
 	m.fold.Store(b)
 	return b
 }
 
+// MeanCoefficients returns the mean row of U, or nil when the model has no
+// coefficient rows. It derives the model's fold-in basis on first use, so
+// a server that calls it while loading a model keeps the basis build (a
+// KD-tree over the training rows) off its first request. The slice is
+// shared and must not be modified.
+func (m *Model) MeanCoefficients() []float64 { return m.basis().uMean }
+
 // FoldIn computes coefficient rows for out-of-sample tuples against the
-// fitted feature matrix V, without refitting the whole model — the streaming
-// complement to Fit for deployments where new sensor rows arrive after
-// training. Each new row's u is obtained by the masked multiplicative rule
-// with V held fixed:
+// fitted model, without refitting it — the streaming complement to Fit for
+// deployments where new sensor rows arrive after training. Each new row x
+// gets the exact minimizer, over u ≥ 0, of the paper's objective restricted
+// to that row with U and V held fixed:
 //
-//	u ← u ⊙ (R_Ω(x)Vᵀ) ⊘ (R_Ω(uV)Vᵀ)
+//	‖R_Ω(x − uV)‖² + λ · Σ_{j ∈ N} ‖u − u_j‖²
 //
-// which is Formula 13 restricted to the reconstruction term (a new row has
-// no edges in the training graph, so the Laplacian terms vanish).
+// The second term is the new row's share of the graph term of Formula 13:
+// by Formula 3 a row with SI has edges to its p nearest training rows N.
+// Neighbours are found in the model's own SI space Û_SI = U·V[:, :L]; a
+// hidden SI cell of x takes the column mean of Û_SI, as the training graph
+// fills hidden SI with column means. With L = 0 every training row is
+// equally near, and the term anchors u at the mean U row with weight λp. λ
+// and p are Config.Lambda and Config.P as the model carries them. The
+// problem is a K×K nonnegative quadratic program, solved exactly by an
+// active-set method, so the answer has no iteration cap or tolerance: iters
+// is ignored and kept only for source compatibility.
+//
 // rows is R×M in the same normalized units as the training matrix; omega
 // marks its observed entries (nil = fully observed). It returns the R×K
-// coefficient block. Rows freeze individually once their relative objective
-// change drops below Config.FoldInTol; Config.Ctx, when set, cancels the
-// batch at an iteration boundary, returning the coefficients computed so far
-// with an error wrapping ErrInterrupted.
+// coefficient block. Rows are solved independently of each other, so a row
+// gets the same bits alone as inside any batch. Config.Ctx, when set,
+// cancels the batch at a row boundary, returning the block with the rows
+// solved so far (the rest zero) and an error wrapping ErrInterrupted.
 //
-// FoldIn only reads the receiver (V, Config, the cached fold-in basis) and
-// allocates all scratch locally, so concurrent calls against one Model are
-// safe — audited together with internal/mat, whose operations share no
-// package-level mutable state and only fan goroutines out over disjoint
-// destination rows. The serving layer's micro-batcher (internal/serve)
-// depends on this.
+// FoldIn only reads the receiver (U, V, Config, the cached fold-in basis)
+// and allocates all other scratch locally, so concurrent calls against one
+// Model are safe — audited together with internal/mat, whose operations
+// share no package-level mutable state and only fan goroutines out over
+// disjoint destination rows. The serving layer's micro-batcher
+// (internal/serve) depends on this.
 func (m *Model) FoldIn(rows *mat.Dense, omega *mat.Mask, iters int) (*mat.Dense, error) {
-	return m.foldIn(m.Config.Ctx, rows, omega, iters)
+	return m.foldIn(m.Config.Ctx, rows, omega)
 }
 
 // FoldInCtx is FoldIn under an explicit context: ctx, when non-nil,
-// overrides Config.Ctx for this call only, cancelling the batch at an
-// iteration boundary with an error wrapping ErrInterrupted. The receiver is
-// not mutated, so concurrent FoldInCtx calls against one shared Model — the
-// serving tier's per-batch deadlines — remain safe.
+// overrides Config.Ctx for this call only, cancelling the batch at a row
+// boundary with an error wrapping ErrInterrupted. The receiver is not
+// mutated, so concurrent FoldInCtx calls against one shared Model — the
+// serving tier's per-batch deadlines — remain safe. iters is ignored, as
+// in FoldIn.
 func (m *Model) FoldInCtx(ctx context.Context, rows *mat.Dense, omega *mat.Mask, iters int) (*mat.Dense, error) {
 	if ctx == nil {
 		ctx = m.Config.Ctx
 	}
-	return m.foldIn(ctx, rows, omega, iters)
+	return m.foldIn(ctx, rows, omega)
 }
 
 // foldIn is FoldIn under ctx (nil = not cancellable).
-func (m *Model) foldIn(ctx context.Context, rows *mat.Dense, omega *mat.Mask, iters int) (*mat.Dense, error) {
+func (m *Model) foldIn(ctx context.Context, rows *mat.Dense, omega *mat.Mask) (*mat.Dense, error) {
 	r, cols := rows.Dims()
-	_, vm := m.V.Dims()
+	k, vm := m.V.Dims()
 	if cols != vm {
 		return nil, fmt.Errorf("core: FoldIn rows have %d columns, model has %d", cols, vm)
 	}
 	if r == 0 {
 		return nil, errors.New("core: FoldIn needs at least one row")
 	}
+	if m.L < 0 || m.L > cols {
+		return nil, fmt.Errorf("core: FoldIn model SI width %d outside [0, %d]", m.L, cols)
+	}
 	if omega != nil {
 		if or, oc := omega.Dims(); or != r || oc != cols {
 			return nil, errors.New("core: FoldIn mask shape mismatch")
 		}
 	}
-	// Each row's observed columns, ascending, listed once per call: the
-	// sweep walks row i's list obs[ptr[i]:ptr[i+1]] instead of testing every
-	// mask bit twice per iteration.
-	obs := make([]int32, 0, r*cols)
-	ptr := make([]int, r+1)
 	for i := 0; i < r; i++ {
-		ptr[i] = len(obs)
 		for j, x := range rows.Row(i) {
 			if omega != nil && !omega.Observed(i, j) {
 				continue
@@ -111,151 +176,213 @@ func (m *Model) foldIn(ctx context.Context, rows *mat.Dense, omega *mat.Mask, it
 			if math.IsNaN(x) || math.IsInf(x, 0) || x < 0 {
 				return nil, errors.New("core: FoldIn rows must be finite and nonnegative over Ω")
 			}
-			obs = append(obs, int32(j))
 		}
 	}
-	ptr[r] = len(obs)
-	if iters <= 0 {
-		iters = 100
-	}
-	k := m.Config.K
-	basis := m.basis()
-	// Every row starts from the same K uniform draws, so a row's start (and
-	// hence its whole trajectory) does not depend on its position in the
-	// batch: a coalesced fold-in answers each row exactly as a stand-alone
-	// call would.
+	b := m.basis()
+	lambda, p := m.Config.Lambda, m.Config.P
 	u := mat.NewDense(r, k)
-	for i := 0; i < r; i++ {
-		copy(u.Row(i), basis.start)
-	}
-	// Landmark warm start: rows whose SI cells are all observed are placed
-	// against the O(L) landmark model and start from a Shepard blend of their
-	// nearest landmarks' trained coefficients instead of the shared random
-	// start. The blend is deterministic and per-row, so single-row and
-	// batched fold-ins still agree.
-	if p := m.WarmStartPlacer(); p != nil {
-		for i := 0; i < r; i++ {
-			// Columns are listed ascending, so the SI cells are all observed
-			// exactly when the row's first L entries are 0..L-1.
-			if ptr[i+1]-ptr[i] >= m.L && obs[ptr[i]+m.L-1] == int32(m.L-1) {
-				p.WarmStart(u.Row(i), rows.Row(i)[:m.L])
-			}
-		}
-	}
-	eps := m.Config.Eps
-	if eps == 0 { //lint:ignore floatcmp zero config value means unset
-		eps = 1e-12
-	}
-	tol := m.Config.FoldInTol
-	if tol <= 0 {
-		tol = 1e-8 // pre-v3 models carry no FoldInTol; keep the historical value
-	}
-
-	// Each row's trajectory is independent of the rest of the batch: the
-	// start is shared, the update touches only u_i and the convergence test
-	// is per-row, so a row that has converged freezes while the stragglers
-	// keep iterating (and a single-row FoldIn reproduces any row of a batched
-	// call exactly). The masked update and objective are fused — only
-	// observed dot products against Vᵀ are evaluated, never the dense u·V
-	// product.
-	vtd := basis.vt
-	active := make([]bool, r)
-	prev := make([]float64, r)
-	for i := range active {
-		active[i] = true
-		prev[i] = math.Inf(1)
-	}
-	// The sweep closure and its per-chunk num/den scratch are built once per
-	// call, sized for the widest split any iteration can take (the chunk
-	// count only falls as rows converge), so the iteration loop allocates
-	// nothing.
-	scratch := make([]float64, 2*k*mat.ChunksFor(r, 3*r*cols*k))
-	sweep := func(ci, lo, hi int) {
-		num := scratch[2*k*ci : 2*k*ci+k]
-		den := scratch[2*k*ci+k : 2*k*(ci+1)]
+	var stopped atomic.Bool
+	mat.ParallelChunks(r, mat.ChunksFor(r, r*(cols+k)*k*k), func(_, lo, hi int) {
+		s := b.scratch.Get().(*foldScratch)
+		defer b.scratch.Put(s)
 		for i := lo; i < hi; i++ {
-			if !active[i] {
-				continue
+			if ctx != nil && ctx.Err() != nil {
+				stopped.Store(true)
+				return
 			}
-			ui := u.Row(i)
-			xi := rows.Row(i)
-			oi := obs[ptr[i]:ptr[i+1]]
-			for t := 0; t < k; t++ {
-				num[t], den[t] = 0, 0
-			}
-			for _, j := range oi {
-				vtj := vtd[int(j)*k : int(j+1)*k]
-				// Open-coded dot (same accumulation order as mat.DotVec,
-				// which the compiler does not inline): p = (uV)_ij.
-				var p0, p1, p2, p3 float64
-				t := 0
-				for ; t+4 <= k; t += 4 {
-					p0 += ui[t] * vtj[t]
-					p1 += ui[t+1] * vtj[t+1]
-					p2 += ui[t+2] * vtj[t+2]
-					p3 += ui[t+3] * vtj[t+3]
-				}
-				p := (p0 + p2) + (p1 + p3)
-				for ; t < k; t++ {
-					p += ui[t] * vtj[t]
-				}
-				xv := xi[j]
-				for t, vv := range vtj {
-					num[t] += xv * vv
-					den[t] += p * vv
-				}
-			}
-			for t, uval := range ui {
-				ui[t] = uval * num[t] / (den[t] + eps)
-			}
-			var obj float64
-			for _, j := range oi {
-				vtj := vtd[int(j)*k : int(j+1)*k]
-				var p0, p1, p2, p3 float64
-				t := 0
-				for ; t+4 <= k; t += 4 {
-					p0 += ui[t] * vtj[t]
-					p1 += ui[t+1] * vtj[t+1]
-					p2 += ui[t+2] * vtj[t+2]
-					p3 += ui[t+3] * vtj[t+3]
-				}
-				p := (p0 + p2) + (p1 + p3)
-				for ; t < k; t++ {
-					p += ui[t] * vtj[t]
-				}
-				d := xi[j] - p
-				obj += d * d
-			}
-			if !math.IsInf(prev[i], 1) && math.Abs(prev[i]-obj) <= tol*math.Max(prev[i], 1e-12) {
-				active[i] = false
-			}
-			prev[i] = obj
+			b.foldRow(s, u.Row(i), rows.Row(i), omega, i, lambda, p)
 		}
-	}
-	for it, remaining := 0, r; it < iters && remaining > 0; it++ {
-		if ctx != nil {
-			if err := ctx.Err(); err != nil {
-				return u, fmt.Errorf("%w after %d fold-in iterations: %w", ErrInterrupted, it, err)
-			}
-		}
-		if faultinject.Enabled() {
-			if err := faultinject.Fire(faultinject.FoldInIter, &FoldInFault{Iter: it, U: u}); err != nil {
-				return u, fmt.Errorf("core: fold-in iteration %d: %w", it, err)
-			}
-		}
-		mat.ParallelChunks(r, mat.ChunksFor(r, 3*remaining*cols*k), sweep)
-		remaining = 0
-		for _, a := range active {
-			if a {
-				remaining++
-			}
-		}
+	})
+	if stopped.Load() {
+		return u, fmt.Errorf("%w during fold-in: %w", ErrInterrupted, ctx.Err())
 	}
 	return u, nil
 }
 
+// foldRow writes into u row i's fold-in: it builds the row's quadratic
+// program, min ½uᵀGu − bᵀu over u ≥ 0 with
+//
+//	G = V_Ω V_Ωᵀ + λ|N|·I,   b = V_Ω x_Ω + λ Σ_{j ∈ N} u_j,
+//
+// and solves it with nnqp.
+func (b *foldBasis) foldRow(s *foldScratch, u, x []float64, omega *mat.Mask, i int, lambda float64, p int) {
+	k := len(u)
+	g, rhs := s.g, s.b
+	clear(g)
+	clear(rhs)
+	for j, xj := range x {
+		if omega != nil && !omega.Observed(i, j) {
+			continue
+		}
+		vtj := b.vt[j*k : (j+1)*k]
+		for t, vt := range vtj {
+			rhs[t] += xj * vt
+			gt := g[t*k : t*k+t+1] // lower triangle; mirrored below
+			for c := range gt {
+				gt[c] += vt * vtj[c]
+			}
+		}
+	}
+	for t := 0; t < k; t++ {
+		for c := 0; c < t; c++ {
+			g[c*k+t] = g[t*k+c]
+		}
+	}
+	if lambda > 0 && p > 0 && b.uMean != nil {
+		weight := lambda * float64(p)
+		if b.tree == nil {
+			for t, v := range b.uMean {
+				rhs[t] += weight * v
+			}
+		} else {
+			for j := range s.q {
+				if omega == nil || omega.Observed(i, j) {
+					s.q[j] = x[j]
+				} else {
+					s.q[j] = b.siMean[j]
+				}
+			}
+			nbrs := b.tree.KNNInto(&s.knn, s.q, p, -1)
+			weight = lambda * float64(len(nbrs))
+			for _, n := range nbrs {
+				for t, v := range b.u.Row(n) {
+					rhs[t] += lambda * v
+				}
+			}
+		}
+		for t := 0; t < k; t++ {
+			g[t*k+t] += weight
+		}
+	}
+	nnqp(s, u, g, rhs)
+}
+
+// nnqp writes into u the minimizer of ½uᵀGu − bᵀu subject to u ≥ 0, for a
+// symmetric positive semidefinite K×K G (row-major), by the Lawson–Hanson
+// active-set method in Gram form. The passive set P holds the coordinates
+// free to be positive; each outer step admits the coordinate with the
+// largest negative gradient w = b − Gu, and the inner loop solves
+// G_PP z = b_P and steps back to the feasible boundary while z has
+// nonpositive entries. It stops when no coordinate outside P has w above
+// rounding level, which is the KKT condition of the problem, so no
+// tolerance is tuned: the threshold is a few ulps of the data's scale.
+func nnqp(s *foldScratch, u, g, b []float64) {
+	k := len(u)
+	clear(u)
+	passive := s.passive
+	clear(passive)
+	set := s.set[:0]
+	var scale float64
+	for t := 0; t < k; t++ {
+		scale = math.Max(scale, math.Max(g[t*k+t], math.Abs(b[t])))
+	}
+	const ulp = 0x1p-52
+	tol := 16 * float64(k) * ulp * scale
+	// Each admission strictly lowers the objective, so in exact arithmetic
+	// no passive set repeats and the loop ends; the bound on admissions
+	// only stops rounding from cycling on a degenerate G.
+	for admitted := 0; admitted < 4*k; admitted++ {
+		best, in := tol, -1
+		for t := 0; t < k; t++ {
+			if passive[t] {
+				continue
+			}
+			w := b[t]
+			for c, v := range g[t*k : (t+1)*k] {
+				w -= v * u[c]
+			}
+			if w > best {
+				best, in = w, t
+			}
+		}
+		if in < 0 {
+			return
+		}
+		passive[in] = true
+		set = append(set, in)
+		for first := true; ; first = false {
+			z := s.z[:len(set)]
+			if !cholSolve(s.chol, g, b, set, z) || (first && z[len(set)-1] <= 0) {
+				// Only the admitting step can get here (a principal
+				// submatrix of a factorizable G_PP factorizes too): the
+				// admitted coordinate is dependent on P at working
+				// precision, so its gradient was rounding and u is optimal.
+				return
+			}
+			alpha, out := 1.0, -1
+			for pi, t := range set {
+				if z[pi] <= 0 {
+					if a := u[t] / (u[t] - z[pi]); a < alpha {
+						alpha, out = a, t
+					}
+				}
+			}
+			if out < 0 {
+				for pi, t := range set {
+					u[t] = z[pi]
+				}
+				break
+			}
+			keep := set[:0]
+			for pi, t := range set {
+				u[t] += alpha * (z[pi] - u[t])
+				if t == out || u[t] <= 0 {
+					u[t] = 0
+					passive[t] = false
+					continue
+				}
+				keep = append(keep, t)
+			}
+			set = keep
+		}
+	}
+}
+
+// cholSolve solves G_PP z = b_P for the passive coordinates set, factoring
+// G_PP into l (Cholesky, row-major |P|×|P|). It reports false when a pivot
+// falls to rounding level relative to its diagonal entry, i.e. when G_PP is
+// singular at working precision. Unlike linalg.Cholesky it works in the
+// chunk's scratch, so solving a row allocates nothing.
+func cholSolve(l, g, b []float64, set []int, z []float64) bool {
+	n, k := len(set), len(b)
+	const ulp = 0x1p-52
+	for a := 0; a < n; a++ {
+		ga := g[set[a]*k : (set[a]+1)*k]
+		for c := 0; c <= a; c++ {
+			v := ga[set[c]]
+			for e := 0; e < c; e++ {
+				v -= l[a*n+e] * l[c*n+e]
+			}
+			if c == a {
+				if !(v > 16*float64(n)*ulp*ga[set[a]]) {
+					return false
+				}
+				l[a*n+a] = math.Sqrt(v)
+			} else {
+				l[a*n+c] = v / l[c*n+c]
+			}
+		}
+	}
+	for a := 0; a < n; a++ {
+		v := b[set[a]]
+		for e := 0; e < a; e++ {
+			v -= l[a*n+e] * z[e]
+		}
+		z[a] = v / l[a*n+a]
+	}
+	for a := n - 1; a >= 0; a-- {
+		v := z[a]
+		for e := a + 1; e < n; e++ {
+			v -= l[e*n+a] * z[e]
+		}
+		z[a] = v / l[a*n+a]
+	}
+	return true
+}
+
 // CompleteRows imputes out-of-sample rows with the fitted model: hidden
-// cells take the fold-in reconstruction, observed cells are kept.
+// cells take the fold-in reconstruction, observed cells are kept. iters is
+// ignored, as in FoldIn.
 func (m *Model) CompleteRows(rows *mat.Dense, omega *mat.Mask, iters int) (*mat.Dense, error) {
 	r, cols := rows.Dims()
 	if omega == nil {

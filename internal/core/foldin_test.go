@@ -6,10 +6,10 @@ import (
 	"math"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"github.com/spatialmf/smfl/internal/dataset"
-	"github.com/spatialmf/smfl/internal/faultinject"
 	"github.com/spatialmf/smfl/internal/mat"
 	"github.com/spatialmf/smfl/internal/metrics"
 )
@@ -18,9 +18,17 @@ import (
 // model plus a held-out tail in the same normalized units.
 func foldInFixture(t *testing.T) (*Model, *mat.Dense) {
 	t.Helper()
+	return foldInFixtureFor(t, SMFL, 2, 50)
+}
+
+// foldInFixtureFor is foldInFixture for any method, SI width l of the fit
+// (the table always has two SI columns; l = 0 fits them as plain data) and
+// dataset seed.
+func foldInFixtureFor(t *testing.T, method Method, l int, seed int64) (*Model, *mat.Dense) {
+	t.Helper()
 	res, err := dataset.Generate(dataset.Spec{
 		Name: "fold", N: 300, M: 6, L: 2,
-		Latents: 3, Bumps: 4, Clusters: 4, Noise: 0.02, Seed: 50,
+		Latents: 3, Bumps: 4, Clusters: 4, Noise: 0.02, Seed: seed,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -30,7 +38,7 @@ func foldInFixture(t *testing.T) (*Model, *mat.Dense) {
 	}
 	train := res.Data.X.Slice(0, 240, 0, 6)
 	test := res.Data.X.Slice(240, 300, 0, 6)
-	model, err := Fit(train, nil, 2, SMFL, Config{K: 5, Lambda: 0.1, MaxIter: 200, Seed: 50})
+	model, err := Fit(train, nil, l, method, Config{K: 5, Lambda: 0.1, MaxIter: 200, Seed: 50})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,9 +62,10 @@ func TestFoldInShapesAndNonnegativity(t *testing.T) {
 	}
 }
 
-func TestCompleteRowsBeatsColumnMeans(t *testing.T) {
-	model, test := foldInFixture(t)
-	n, m := test.Dims()
+// foldInHoldout hides about a quarter of the non-SI cells of rows and,
+// with hideSI, one SI cell in every other row.
+func foldInHoldout(rows *mat.Dense, hideSI bool) *mat.Mask {
+	n, m := rows.Dims()
 	omega := mat.FullMask(n, m)
 	for i := 0; i < n; i++ {
 		for j := 2; j < m; j++ {
@@ -64,26 +73,42 @@ func TestCompleteRowsBeatsColumnMeans(t *testing.T) {
 				omega.Hide(i, j)
 			}
 		}
+		if hideSI && i%2 == 0 {
+			omega.Hide(i, (i/2)%2)
+		}
 	}
-	out, err := model.CompleteRows(test, omega, 150)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rms, err := metrics.RMSOverHidden(out, test, omega)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Column-mean floor over the test block.
-	meanFill := test.Clone()
-	if err := dataset.FillColumnMeans(meanFill, omega); err != nil {
-		t.Fatal(err)
-	}
-	meanRMS, err := metrics.RMSOverHidden(meanFill, test, omega)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rms >= meanRMS {
-		t.Fatalf("fold-in RMS %v not better than column means %v", rms, meanRMS)
+	return omega
+}
+
+// TestCompleteRowsBeatsColumnMeans: every method's fold-in beats the
+// column-mean fill on the hidden cells, with the SI observed and with half
+// the rows hiding an SI cell (hidden SI is part of the score).
+func TestCompleteRowsBeatsColumnMeans(t *testing.T) {
+	for _, method := range []Method{SMFL, SMF, NMF} {
+		model, test := foldInFixtureFor(t, method, 2, 50)
+		for _, hideSI := range []bool{false, true} {
+			omega := foldInHoldout(test, hideSI)
+			out, err := model.CompleteRows(test, omega, 150)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rms, err := metrics.RMSOverHidden(out, test, omega)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Column-mean floor over the test block.
+			meanFill := test.Clone()
+			if err := dataset.FillColumnMeans(meanFill, omega); err != nil {
+				t.Fatal(err)
+			}
+			meanRMS, err := metrics.RMSOverHidden(meanFill, test, omega)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rms >= meanRMS {
+				t.Fatalf("%v, hidden SI %v: fold-in RMS %v not better than column means %v", method, hideSI, rms, meanRMS)
+			}
+		}
 	}
 }
 
@@ -258,26 +283,36 @@ func TestFoldInAllocsPerRowConstant(t *testing.T) {
 	}
 }
 
+// cancelAfter is a context whose Err reports cancellation from its n-th
+// call on, so a test can cancel a fold-in between two rows.
+type cancelAfter struct {
+	context.Context
+	calls atomic.Int64
+	n     int64
+}
+
+func (c *cancelAfter) Err() error {
+	if c.calls.Add(1) >= c.n {
+		return context.Canceled
+	}
+	return nil
+}
+
 // TestFoldInCancellation: a context cancelled mid-batch stops FoldIn at the
-// next iteration boundary, returning the coefficients computed so far with an
-// error wrapping ErrInterrupted.
+// next row boundary, returning the coefficient block with the rows solved
+// so far and an error wrapping ErrInterrupted; a pre-cancelled context
+// solves no row.
 func TestFoldInCancellation(t *testing.T) {
-	defer faultinject.Reset()
 	model, test := foldInFixture(t)
+	want, err := model.FoldIn(test, nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	faultinject.Enable(faultinject.FoldInIter, func(p any) error {
-		if p.(*FoldInFault).Iter == 3 {
-			cancel()
-		}
-		return nil
-	})
-
-	model.Config.Ctx = ctx
-	u, err := model.FoldIn(test, nil, 100)
-	if !errors.Is(err, ErrInterrupted) {
-		t.Fatalf("got %v, want ErrInterrupted", err)
+	model.Config.Ctx = &cancelAfter{Context: context.Background(), n: 4}
+	u, err := model.FoldIn(test, nil, 0)
+	if !errors.Is(err, ErrInterrupted) || !errors.Is(err, context.Canceled) {
+		t.Fatalf("got %v, want ErrInterrupted wrapping context.Canceled", err)
 	}
 	if u == nil {
 		t.Fatal("cancelled FoldIn must return the partial coefficients")
@@ -285,43 +320,34 @@ func TestFoldInCancellation(t *testing.T) {
 	if r, c := u.Dims(); r != test.Rows() || c != model.Config.K {
 		t.Fatalf("partial coefficients are %dx%d", r, c)
 	}
+	// Every row is either solved exactly as in the uncancelled call or
+	// left zero, and some rows are left.
+	left := 0
+	for i := 0; i < test.Rows(); i++ {
+		row := u.Row(i)
+		if mat.Max(u.Slice(i, i+1, 0, len(row))) == 0 {
+			left++
+			continue
+		}
+		for k, v := range row {
+			if math.Float64bits(v) != math.Float64bits(want.At(i, k)) {
+				t.Fatalf("row %d: partial answer %v differs from the full one %v", i, row, want.Row(i))
+			}
+		}
+	}
+	if left == 0 {
+		t.Fatal("a mid-batch cancellation solved every row")
+	}
 
-	// A pre-cancelled context stops before the first iteration.
-	done, cancel2 := context.WithCancel(context.Background())
-	cancel2()
+	// A pre-cancelled context stops before the first row.
+	done, cancel := context.WithCancel(context.Background())
+	cancel()
 	model.Config.Ctx = done
-	if _, err := model.FoldIn(test, nil, 100); !errors.Is(err, ErrInterrupted) {
+	u, err = model.FoldIn(test, nil, 0)
+	if !errors.Is(err, ErrInterrupted) {
 		t.Fatalf("pre-cancelled context: got %v", err)
 	}
-}
-
-// TestFoldInTolConfigurable: loosening the per-row convergence tolerance
-// freezes rows earlier, and the historical default (1e-8) still applies when
-// the field is zero (older model files).
-func TestFoldInTolConfigurable(t *testing.T) {
-	model, test := foldInFixture(t)
-
-	model.Config.FoldInTol = 0 // pre-v3 file: default applies
-	uDefault, err := model.FoldIn(test, nil, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	model.Config.FoldInTol = 1e-8 // the explicit historical value
-	uStrict, err := model.FoldIn(test, nil, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !mat.EqualApprox(uDefault, uStrict, 0) {
-		t.Fatal("zero FoldInTol must behave exactly like the 1e-8 default")
-	}
-
-	model.Config.FoldInTol = 0.5
-	uLoose, err := model.FoldIn(test, nil, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mat.EqualApprox(uDefault, uLoose, 0) {
-		t.Fatal("a drastically looser tolerance changed nothing — the knob is not wired in")
+	if mat.Max(u) != 0 {
+		t.Fatal("a pre-cancelled fold-in solved a row")
 	}
 }

@@ -83,7 +83,8 @@ func FuzzReadModel(f *testing.F) {
 
 	// Structurally bogus wire images that decode as gob but must be rejected:
 	// mismatched factor widths, K disagreeing with the factors, an SI width
-	// outside the column range, and landmark dims disagreeing with V.
+	// outside the column range, landmark dims disagreeing with V, and
+	// fold-in weights λ and p no fold-in can use.
 	addWire := func(mutate func(*Model)) {
 		m := fuzzSeedModel()
 		mutate(m)
@@ -98,6 +99,9 @@ func FuzzReadModel(f *testing.F) {
 	addWire(func(m *Model) { m.U = mat.FromRows([][]float64{{1, 2, 3}}) })
 	addWire(func(m *Model) { m.C = mat.FromRows([][]float64{{1, 2, 3}, {4, 5, 6}, {7, 8, 9}}) })
 	addWire(func(m *Model) { m.Objective = []float64{math.Inf(-1)} })
+	addWire(func(m *Model) { m.Config.Lambda = math.NaN() })
+	addWire(func(m *Model) { m.Config.Lambda = math.Inf(1) })
+	addWire(func(m *Model) { m.Config.P = -1 })
 
 	// Placer images: the current shape, the pre-version-6 shape with its
 	// LMDS fields, a placer probing no landmarks, and one whose coordinate
@@ -150,6 +154,9 @@ func FuzzReadModel(f *testing.F) {
 		}
 		if !m.U.IsFinite() || !m.V.IsFinite() {
 			t.Fatal("Load accepted non-finite factors")
+		}
+		if !(m.Config.Lambda >= 0) || math.IsInf(m.Config.Lambda, 1) || m.Config.P < 0 {
+			t.Fatalf("Load accepted fold-in weights λ=%v p=%d", m.Config.Lambda, m.Config.P)
 		}
 		row := mat.NewDense(1, cols)
 		for j := 0; j < cols; j++ {

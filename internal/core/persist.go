@@ -68,8 +68,9 @@ type configWire struct {
 	Updater        Updater
 	LandmarkSource LandmarkSource
 
-	// Since version 3.
-	FoldInTol       float64
+	// Since version 3. (Versions 3–6 also wrote a FoldInTol field for the
+	// retired iterative fold-in; gob skips it in those files, and the name
+	// must not be reused.)
 	CheckpointEvery int
 	WatchdogRetries int
 	WatchdogExplode float64
@@ -110,7 +111,7 @@ func (m *Model) Save(w io.Writer) error {
 			Tol: cfg.Tol, Seed: cfg.Seed, KMeansMaxIter: cfg.KMeansMaxIter,
 			KMeansRestarts: cfg.KMeansRestarts, LearningRate: cfg.LearningRate,
 			Eps: cfg.Eps, Updater: cfg.Updater, LandmarkSource: cfg.LandmarkSource,
-			FoldInTol: cfg.FoldInTol, CheckpointEvery: cfg.CheckpointEvery,
+			CheckpointEvery: cfg.CheckpointEvery,
 			WatchdogRetries: cfg.WatchdogRetries, WatchdogExplode: cfg.WatchdogExplode,
 			SpatialIndex: cfg.SpatialIndex,
 			BatchCells:   cfg.BatchCells, AnchorEvery: cfg.AnchorEvery,
@@ -172,9 +173,8 @@ func Load(r io.Reader) (*Model, error) {
 			Tol: cw.Tol, Seed: cw.Seed, KMeansMaxIter: cw.KMeansMaxIter,
 			KMeansRestarts: cw.KMeansRestarts, LearningRate: cw.LearningRate,
 			Eps: cw.Eps, Updater: cw.Updater, LandmarkSource: cw.LandmarkSource,
-			// Pre-v3 files leave these zero; Fit re-applies defaults and FoldIn
-			// falls back to the historical 1e-8 tolerance.
-			FoldInTol: cw.FoldInTol, CheckpointEvery: cw.CheckpointEvery,
+			// Pre-v3 files leave these zero; Fit re-applies defaults.
+			CheckpointEvery: cw.CheckpointEvery,
 			WatchdogRetries: cw.WatchdogRetries, WatchdogExplode: cw.WatchdogExplode,
 			SpatialIndex: cw.SpatialIndex,
 			BatchCells:   cw.BatchCells, AnchorEvery: cw.AnchorEvery,
@@ -200,7 +200,7 @@ func Load(r io.Reader) (*Model, error) {
 // well-formed fitted model: inconsistent factor shapes, an SI width outside
 // the column range, landmark matrices that disagree with V, a stored K that
 // does not match the factors (FoldIn sizes its coefficient block from
-// Config.K), or non-finite payloads. A hostile or corrupted .smfl file must
+// Config.K), a λ or p fold-in cannot use, or non-finite payloads. A hostile or corrupted .smfl file must
 // be refused here rather than crash the serving layer later — the
 // FuzzReadModel target drives this.
 func validateLoaded(m *Model) error {
@@ -237,6 +237,10 @@ func validateLoaded(m *Model) error {
 	case Multiplicative, GradientDescent, SGD, SVRG:
 	default:
 		return fmt.Errorf("core: load: unknown updater %d", int(m.Config.Updater))
+	}
+	if !(m.Config.Lambda >= 0) || math.IsInf(m.Config.Lambda, 1) || m.Config.P < 0 {
+		return fmt.Errorf("core: load: fold-in needs finite λ ≥ 0 and p ≥ 0, got λ=%v p=%d",
+			m.Config.Lambda, m.Config.P)
 	}
 	if m.Config.BatchCells < 0 || m.Config.AnchorEvery < 0 {
 		return fmt.Errorf("core: load: negative stochastic config (batch %d, anchor %d)",

@@ -324,7 +324,6 @@ func TestSaveFileAtomicSurvivesCrash(t *testing.T) {
 func TestWireV3RoundTripsRobustnessFields(t *testing.T) {
 	x, omega, l := testProblem(t, 80, 83)
 	cfg := quickCfg(3)
-	cfg.FoldInTol = 3e-7
 	cfg.CheckpointEvery = 7
 	cfg.WatchdogRetries = 9
 	cfg.WatchdogExplode = 250
@@ -346,7 +345,7 @@ func TestWireV3RoundTripsRobustnessFields(t *testing.T) {
 		t.Fatalf("Partial=%v Recoveries=%d after round trip", got.Partial, got.Recoveries)
 	}
 	c := got.Config
-	if c.FoldInTol != 3e-7 || c.CheckpointEvery != 7 || c.WatchdogRetries != 9 || c.WatchdogExplode != 250 {
+	if c.CheckpointEvery != 7 || c.WatchdogRetries != 9 || c.WatchdogExplode != 250 {
 		t.Fatalf("fault-tolerance config lost: %+v", c)
 	}
 }

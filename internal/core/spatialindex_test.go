@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math"
 	"path/filepath"
 	"testing"
 
@@ -124,88 +123,6 @@ func TestPersistRoundtripWithPlacer(t *testing.T) {
 		if a.Nearest[i] != b.Nearest[i] || a.Dist[i] != b.Dist[i] {
 			t.Fatalf("nearest landmarks drifted through persistence")
 		}
-	}
-}
-
-// TestFoldInWarmStartDeterministic checks the placer-seeded fold-in keeps
-// the contract the serving batcher relies on: batches are deterministic and
-// a single-row call reproduces the matching row of a batched call exactly.
-func TestFoldInWarmStartDeterministic(t *testing.T) {
-	x, omega, l := testProblem(t, 160, 11)
-	cfg := quickCfg(4)
-	cfg.SpatialIndex = SpatialLandmark
-	model, err := Fit(x, omega, l, SMFL, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if model.Placer == nil {
-		t.Fatal("fit did not attach a placer")
-	}
-	rows := x.Slice(0, 5, 0, x.Cols())
-	u1, err := model.FoldIn(rows, nil, 60)
-	if err != nil {
-		t.Fatal(err)
-	}
-	u2, err := model.FoldIn(rows, nil, 60)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !mat.EqualApprox(u1, u2, 0) {
-		t.Fatal("warm-started fold-in is not deterministic")
-	}
-	single, err := model.FoldIn(x.Slice(0, 1, 0, x.Cols()), nil, 60)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for j := 0; j < cfg.K; j++ {
-		if single.At(0, j) != u1.At(0, j) {
-			t.Fatal("single-row fold-in disagrees with batched row 0")
-		}
-	}
-	if mat.Min(u1) < 0 || !u1.IsFinite() {
-		t.Fatal("warm-started coefficients must stay finite and nonnegative")
-	}
-}
-
-// TestFoldInWarmStartHelpsReconstruction: with V fixed, starting from the
-// nearest landmarks' trained coefficients should reconstruct at least as
-// well as random initialization given the same small iteration budget.
-func TestFoldInWarmStartHelpsReconstruction(t *testing.T) {
-	x, omega, l := testProblem(t, 200, 12)
-	cfg := quickCfg(5)
-	cfg.SpatialIndex = SpatialLandmark
-	model, err := Fit(x, omega, l, SMFL, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows := x.Slice(0, 20, 0, x.Cols())
-	const iters = 3 // tight budget: initialization quality dominates
-	warm, err := model.FoldIn(rows, nil, iters)
-	if err != nil {
-		t.Fatal(err)
-	}
-	placer := model.Placer
-	model.Placer = nil // the same model without its warm start
-	cu, err := model.FoldIn(rows, nil, iters)
-	model.Placer = placer
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := func(u *mat.Dense) float64 {
-		pred := mat.Mul(nil, u, model.V)
-		var s float64
-		for i := 0; i < rows.Rows(); i++ {
-			for j := 0; j < rows.Cols(); j++ {
-				d := rows.At(i, j) - pred.At(i, j)
-				s += d * d
-			}
-		}
-		return math.Sqrt(s)
-	}
-	warmRes, coldRes := res(warm), res(cu)
-	t.Logf("fold-in residual after %d iters: warm=%.5f cold=%.5f", iters, warmRes, coldRes)
-	if warmRes > coldRes*1.02 {
-		t.Fatalf("warm start residual %v worse than cold %v", warmRes, coldRes)
 	}
 }
 

@@ -18,12 +18,6 @@ type FitFault struct {
 	U, V   *mat.Dense
 }
 
-// FoldInFault is the payload at the faultinject.FoldInIter point.
-type FoldInFault struct {
-	Iter int
-	U    *mat.Dense
-}
-
 // PersistFault is the payload at the persist.* points.
 type PersistFault struct {
 	Path string

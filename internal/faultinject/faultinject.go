@@ -34,9 +34,6 @@ const (
 	// simulate numerical corruption the divergence watchdog must catch) or
 	// return an error to abort the fit.
 	FitIter Point = "fit.iter"
-	// FoldInIter fires once per batched FoldIn iteration with a
-	// *core.FoldInFault payload.
-	FoldInIter Point = "foldin.iter"
 	// PersistWrite fires after an atomic file write has buffered its payload
 	// but before fsync — an injected kernel/disk error.
 	PersistWrite Point = "persist.write"

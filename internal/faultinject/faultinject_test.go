@@ -82,9 +82,9 @@ func TestOnCall(t *testing.T) {
 func TestHookSeesPayload(t *testing.T) {
 	defer Reset()
 	var got any
-	Enable(FoldInIter, func(p any) error { got = p; return nil })
+	Enable(FitIter, func(p any) error { got = p; return nil })
 	payload := struct{ Iter int }{7}
-	if err := Fire(FoldInIter, payload); err != nil {
+	if err := Fire(FitIter, payload); err != nil {
 		t.Fatal(err)
 	}
 	if got != payload {

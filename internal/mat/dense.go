@@ -114,16 +114,6 @@ func (m *Dense) Col(j int, dst []float64) []float64 {
 	return dst
 }
 
-// SetCol writes src into column j.
-func (m *Dense) SetCol(j int, src []float64) {
-	if len(src) != m.rows {
-		panic("mat: SetCol length mismatch")
-	}
-	for i := 0; i < m.rows; i++ {
-		m.data[i*m.cols+j] = src[i]
-	}
-}
-
 // Data returns the backing row-major slice (no copy).
 func (m *Dense) Data() []float64 { return m.data }
 

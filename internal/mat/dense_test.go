@@ -105,10 +105,6 @@ func TestColRoundTrip(t *testing.T) {
 	if col[0] != 2 || col[1] != 4 || col[2] != 6 {
 		t.Fatalf("Col = %v", col)
 	}
-	m.SetCol(0, []float64{9, 8, 7})
-	if m.At(2, 0) != 7 {
-		t.Fatalf("SetCol failed: %v", m)
-	}
 }
 
 func TestSlice(t *testing.T) {

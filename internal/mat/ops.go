@@ -32,16 +32,6 @@ func Hadamard(dst, a, b *Dense) *Dense {
 	return dst
 }
 
-// HadamardDivEps stores a ⊘ (b+eps) into dst and returns dst. The eps guard
-// keeps the multiplicative NMF updates finite when a denominator entry is 0.
-func HadamardDivEps(dst, a, b *Dense, eps float64) *Dense {
-	dst = prep(dst, a, b, "HadamardDivEps")
-	for i, v := range a.data {
-		dst.data[i] = v / (b.data[i] + eps)
-	}
-	return dst
-}
-
 // Scale stores s*a into dst and returns dst.
 func Scale(dst *Dense, s float64, a *Dense) *Dense {
 	dst = prep(dst, a, a, "Scale")
@@ -109,20 +99,6 @@ func Dot(a, b *Dense) float64 {
 		s += v * b.data[i]
 	}
 	return s
-}
-
-// MaxAbsDiff returns max_ij |a_ij - b_ij|.
-func MaxAbsDiff(a, b *Dense) float64 {
-	if a.rows != b.rows || a.cols != b.cols {
-		panic(dimErr("MaxAbsDiff", a, b))
-	}
-	var m float64
-	for i, v := range a.data {
-		if d := math.Abs(v - b.data[i]); d > m {
-			m = d
-		}
-	}
-	return m
 }
 
 // Sum returns the sum of all elements.

@@ -38,19 +38,6 @@ func TestHadamardAndDiv(t *testing.T) {
 	if got := Hadamard(nil, a, b); !EqualApprox(got, FromRows([][]float64{{8, 15}}), 0) {
 		t.Fatalf("Hadamard = %v", got)
 	}
-	got := HadamardDivEps(nil, a, b, 0)
-	if math.Abs(got.At(0, 0)-0.5) > 1e-15 || math.Abs(got.At(0, 1)-0.6) > 1e-15 {
-		t.Fatalf("HadamardDivEps = %v", got)
-	}
-}
-
-func TestHadamardDivEpsGuardsZero(t *testing.T) {
-	a := FromRows([][]float64{{1}})
-	b := FromRows([][]float64{{0}})
-	got := HadamardDivEps(nil, a, b, 1e-9)
-	if math.IsInf(got.At(0, 0), 0) || math.IsNaN(got.At(0, 0)) {
-		t.Fatalf("eps guard failed: %v", got.At(0, 0))
-	}
 }
 
 func TestScaleAddScaled(t *testing.T) {
@@ -119,14 +106,6 @@ func TestApply(t *testing.T) {
 	got := Apply(nil, math.Sqrt, m)
 	if !EqualApprox(got, FromRows([][]float64{{1, 2, 3}}), 1e-14) {
 		t.Fatalf("Apply = %v", got)
-	}
-}
-
-func TestMaxAbsDiff(t *testing.T) {
-	a := FromRows([][]float64{{1, 2}})
-	b := FromRows([][]float64{{1.5, -2}})
-	if got := MaxAbsDiff(a, b); got != 4 {
-		t.Fatalf("MaxAbsDiff = %v", got)
 	}
 }
 

@@ -87,7 +87,6 @@ type foldResult struct {
 type batcher struct {
 	model   *core.Model
 	maxRows int
-	iters   int
 	metrics *Metrics
 
 	mu     sync.RWMutex // guards closed vs. sends on in
@@ -100,7 +99,6 @@ func newBatcher(model *core.Model, cfg Config, metrics *Metrics) *batcher {
 	b := &batcher{
 		model:   model,
 		maxRows: cfg.MaxBatchRows,
-		iters:   cfg.FoldInIters,
 		metrics: metrics,
 		in:      make(chan *foldRequest, cfg.QueueDepth),
 	}
@@ -304,7 +302,7 @@ func (b *batcher) compute(ctx context.Context, blocks []*mat.Dense, masks []*mat
 	if len(blocks) > 1 {
 		stacked, mask = mat.VStack(blocks...), mat.VStackMasks(masks...)
 	}
-	u, err = b.model.FoldInCtx(ctx, stacked, mask, b.iters)
+	u, err = b.model.FoldInCtx(ctx, stacked, mask, 0)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -137,7 +137,7 @@ func TestBatcherCoalesces(t *testing.T) {
 		// bit what the request gets when solved alone: observed cells are
 		// recovered verbatim and the hidden cell does not depend on the
 		// row's position in the batch.
-		alone, err := model.CompleteRows(req.rows, req.mask, Config{}.withDefaults().FoldInIters)
+		alone, err := model.CompleteRows(req.rows, req.mask, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -222,12 +222,11 @@ func TestBatcherIdleRequestComputedAlone(t *testing.T) {
 	}
 	// Solved on the request's own rows and mask: bit for bit the library
 	// answer, with the caller's rows left untouched.
-	iters := Config{}.withDefaults().FoldInIters
-	completed, err := model.CompleteRows(rows, mask, iters)
+	completed, err := model.CompleteRows(rows, mask, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	coeff, err := model.FoldIn(rows, mask, iters)
+	coeff, err := model.FoldIn(rows, mask, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,7 +20,7 @@ const (
 )
 
 // fallback is the O(rows·K·M) degraded-mode answer path for one model
-// version: no admission, no coalescing, no iterative fold-in. Hidden cells
+// version: no admission, no coalescing, no fold-in solve. Hidden cells
 // take either the column means of the training reconstruction (mean U row
 // times V, normalized units; the Norm midpoint 0.5 when the model carries no
 // U) or, when the model has a landmark placer and the row's SI cells are all
@@ -33,23 +33,13 @@ type fallback struct {
 	l, k     int
 }
 
-// newFallback precomputes the degraded-mode state for model. Cost is one
-// O(N·K + K·M) pass at registration time.
+// newFallback precomputes the degraded-mode state for model at
+// registration time. Taking the mean U row from the model derives its
+// fold-in basis there too, so no request pays for that build.
 func newFallback(m *core.Model) *fallback {
 	k, cols := m.V.Dims()
 	f := &fallback{v: m.V, colMeans: make([]float64, cols), k: k}
-	if m.U != nil && m.U.Rows() > 0 {
-		n, _ := m.U.Dims()
-		mu := make([]float64, k)
-		for i := 0; i < n; i++ {
-			row := m.U.Row(i)
-			for t, v := range row {
-				mu[t] += v
-			}
-		}
-		for t := range mu {
-			mu[t] /= float64(n)
-		}
+	if mu := m.MeanCoefficients(); mu != nil {
 		for j := 0; j < cols; j++ {
 			var s float64
 			for t := 0; t < k; t++ {

@@ -35,7 +35,6 @@ var (
 type Config struct {
 	MaxBatchRows int             // a batch stops taking queued requests at this many rows (default 256)
 	QueueDepth   int             // per-model pending-request cap (default 1024)
-	FoldInIters  int             // FoldIn iteration cap per batch (default 100)
 	KeepVersions int             // model versions retained per name for rollback/pinning (default 3)
 	Admission    AdmissionConfig // cost-aware admission control (see AdmissionConfig)
 
@@ -51,9 +50,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 1024
-	}
-	if c.FoldInIters <= 0 {
-		c.FoldInIters = 100
 	}
 	if c.KeepVersions <= 0 {
 		c.KeepVersions = 3

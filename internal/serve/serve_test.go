@@ -80,7 +80,7 @@ func postImpute(t *testing.T, client *http.Client, url string, req imputeRequest
 func TestServerEndToEnd(t *testing.T) {
 	path, orig, tail := fixture(t)
 	metrics := NewMetrics()
-	registry := NewRegistry(Config{FoldInIters: 100}, metrics)
+	registry := NewRegistry(Config{}, metrics)
 	defer registry.Close()
 	if _, err := registry.LoadFile("air", path); err != nil {
 		t.Fatal(err)
